@@ -30,8 +30,8 @@ use aero_core::fleet::{FleetConfig, FleetCoordinator, ShardAssignment, ShardFact
 use aero_core::online::{DegradePolicy, OnlineAero};
 use aero_core::wal::{FsyncPolicy, WalConfig, WalWriter};
 use aero_core::{
-    Aero, AeroConfig, Detector, FallbackScorer, LadderLevel, OverloadPolicy, ScoreMode,
-    StreamGovernor,
+    Aero, AeroConfig, ChaosHook, Detector, FallbackScorer, LadderLevel, OverloadPolicy,
+    ScoreMode, StreamGovernor,
 };
 use aero_datagen::SyntheticConfig;
 use aero_evt::PotConfig;
@@ -87,42 +87,19 @@ struct Report {
     score_window: StageReport,
     e2e_detect: StageReport,
     batched_inference: BatchedReport,
-    pipelined_push: PipelinedReport,
     streaming_allocs: AllocReport,
     memory_at_scale: MemoryAtScaleReport,
     wal_overhead: WalReport,
     degradation_ladder: LadderReport,
     fleet_scaling: FleetScalingReport,
     migration_pause: MigrationPauseReport,
-    serve_throughput: ServeThroughputReport,
-}
-
-/// Wire-level ingest throughput of the resident `aero serve` loop
-/// (DESIGN.md §15): real TCP sockets on loopback, one-frame Ingest batches,
-/// admission latency measured client-side from write to Ack/Reject. The
-/// detector stays single-threaded by design, so more connections buy
-/// concurrency of arrival, not scoring parallelism — the interesting
-/// numbers are the p99 under contention and that throughput does not
-/// collapse.
-#[derive(Serialize)]
-struct ServeThroughputReport {
-    frames_per_connection: usize,
-    rows: Vec<ServeThroughputRow>,
-}
-
-#[derive(Serialize)]
-struct ServeThroughputRow {
-    connections: usize,
-    frames_sent: usize,
-    frames_admitted: usize,
-    frames_per_sec: f64,
-    p50_admission_latency_secs: f64,
-    p99_admission_latency_secs: f64,
 }
 
 /// Batched cross-star Stage-1 (one stacked `(N·W)×d` GEMM per layer) vs the
 /// per-star path (N small GEMMs + tape bookkeeping) over the same streamed
-/// frames. Both runs are single-threaded, so the speedup is the GEMM shape
+/// frames. The per-star arm installs a no-op `ChaosHook`, which is what
+/// routes Stage-1 through the per-star tape path. Both runs are
+/// single-threaded, so the speedup is the GEMM shape
 /// and the tape-free forward, not parallelism — it is meaningful on any
 /// host. `stage1` rows force `ScoreMode::Stage1` to isolate the rewritten
 /// path; `full` rows run the whole push (Stage-2 GCN included) to show the
@@ -137,22 +114,6 @@ struct BatchedReport {
     per_star_full_secs_per_frame: f64,
     batched_full_secs_per_frame: f64,
     full_speedup: f64,
-}
-
-/// Sequential `push` vs `push_pipelined` (frame `t`'s Stage-1 overlapping
-/// frame `t−1`'s Stage-2 on the worker pool) at the parallel-variant thread
-/// count. The overlap needs a second core: on a 1-CPU host the join runs
-/// sequentially, the speedup is honestly ~1×, and the row is marked
-/// `skipped_single_cpu`.
-#[derive(Serialize)]
-struct PipelinedReport {
-    frames_per_sample: usize,
-    host_logical_cpus: usize,
-    threads: usize,
-    sequential_secs_per_frame: f64,
-    pipelined_secs_per_frame: f64,
-    overlap_speedup: Option<f64>,
-    note: Option<&'static str>,
 }
 
 /// Fleet-coordinator streaming throughput vs shard count (one pool shard
@@ -249,7 +210,6 @@ struct MemoryAtScaleReport {
     /// Closed-form estimate vs the measured shared arm.
     model_vs_measured_rel_err: f64,
     memory_curve: Vec<MemoryCurveRow>,
-    quantized_rung: QuantRungReport,
 }
 
 #[derive(Serialize)]
@@ -261,20 +221,6 @@ struct MemoryCurveRow {
     shared_total_bytes_modeled: usize,
     per_star_full_total_bytes_modeled: usize,
     shared_bytes_per_star_modeled: f64,
-}
-
-/// Per-frame cost of the degraded `Stage1` rung with the f32 path vs the
-/// opt-in int8 per-row-absmax quantized GEMMs, plus the measured score
-/// drift envelope of a mixed Full/Stage1 frame (the equivalence gates in
-/// `aero-core/tests/backbone.rs` pin all-Full scoring bitwise).
-#[derive(Serialize)]
-struct QuantRungReport {
-    frames_per_sample: usize,
-    stage1_f32_secs_per_frame: f64,
-    stage1_int8_secs_per_frame: f64,
-    int8_saving_ratio: f64,
-    mixed_frame_worst_abs_drift: f32,
-    mixed_frame_mean_abs_drift: f64,
 }
 
 /// Per-frame cost of a governed poll with every star forced onto one
@@ -382,45 +328,6 @@ fn time_secs(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
-}
-
-/// Minimal blocking wire client for the serve-throughput section: framed
-/// handshake, send, and one-reply recv over a loopback socket.
-struct ServeClient {
-    stream: std::net::TcpStream,
-    decoder: aero_core::serve::Decoder,
-}
-
-impl ServeClient {
-    fn connect(addr: std::net::SocketAddr, tenant: u32) -> Self {
-        use aero_core::serve::{WireMsg, DEFAULT_MAX_PAYLOAD, WIRE_PROTOCOL};
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut client = Self { stream, decoder: aero_core::serve::Decoder::new(DEFAULT_MAX_PAYLOAD) };
-        client.send(&WireMsg::Hello { tenant, protocol: WIRE_PROTOCOL });
-        match client.recv() {
-            WireMsg::HelloAck { .. } => client,
-            other => panic!("handshake failed: {other:?}"),
-        }
-    }
-
-    fn send(&mut self, msg: &aero_core::serve::WireMsg) {
-        use std::io::Write;
-        self.stream.write_all(&aero_core::serve::encode(msg)).unwrap();
-    }
-
-    fn recv(&mut self) -> aero_core::serve::WireMsg {
-        use std::io::Read;
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if let Some(msg) = self.decoder.next().unwrap() {
-                return msg;
-            }
-            let got = self.stream.read(&mut chunk).unwrap();
-            assert!(got > 0, "server closed the connection mid-reply");
-            self.decoder.extend(&chunk[..got]);
-        }
-    }
 }
 
 fn rand_matrix(rng: &mut StdRng, r: usize, c: usize) -> Matrix {
@@ -608,7 +515,9 @@ fn main() {
     let stage1_modes = vec![ScoreMode::Stage1; n];
     let stream_cost = |batched: bool, modes: Option<&[ScoreMode]>| {
         let mut online = fresh_online();
-        online.set_batched_inference(batched);
+        if !batched {
+            online.set_chaos_hook(Some(ChaosHook::new(|_| {})));
+        }
         let mut offset = 0.0;
         time_secs(reps, || {
             for (ts, values) in &frames {
@@ -634,35 +543,6 @@ fn main() {
             per_star_full_secs_per_frame: per_star_full,
             batched_full_secs_per_frame: batched_full,
             full_speedup: speedup_ratio(per_star_full, batched_full),
-        }
-    };
-
-    // --- Pipelined push: Stage-1 of frame t overlapping Stage-2 of t−1 on
-    // the worker pool, vs sequential pushes at the same thread count. ---
-    let pipelined_report = {
-        aero_parallel::set_max_threads(args.threads);
-        let sequential = stream_cost(true, None);
-        let pipelined = {
-            let mut online = fresh_online();
-            let mut offset = 0.0;
-            time_secs(reps, || {
-                for (ts, values) in &frames {
-                    online.push_pipelined(*ts + offset, values).unwrap();
-                }
-                online.flush().unwrap();
-                offset += span;
-            }) / frames.len().max(1) as f64
-        };
-        aero_parallel::set_max_threads(1);
-        PipelinedReport {
-            frames_per_sample: frames.len(),
-            host_logical_cpus: logical_cpus,
-            threads: args.threads,
-            sequential_secs_per_frame: sequential,
-            pipelined_secs_per_frame: pipelined,
-            overlap_speedup: (logical_cpus > 1)
-                .then(|| speedup_ratio(sequential, pipelined)),
-            note: (logical_cpus <= 1).then_some("skipped_single_cpu"),
         }
     };
 
@@ -823,110 +703,8 @@ fn main() {
     };
     aero_parallel::set_max_threads(1);
 
-    // --- Resident-service wire throughput: the `aero serve` loop behind a
-    // real loopback listener, driven by 1 / 4 / 16 concurrent connections
-    // sending one-frame Ingest batches. Quotas are opened wide so admission
-    // control is not the bottleneck being measured. ---
-    aero_parallel::set_max_threads(args.threads);
-    let serve_frames = frames.clone();
-    let serve_rows: Vec<ServeThroughputRow> = [1usize, 4, 16]
-        .iter()
-        .map(|&conns| {
-            use aero_core::serve::{self, WireFrame, WireMsg};
-            let policy = OverloadPolicy {
-                queue_capacity: 256,
-                high_watermark: 128,
-                low_watermark: 32,
-                tenant_quota: Some(aero_core::TenantQuota {
-                    burst: 4096,
-                    refill_per_poll: 64,
-                }),
-                ..OverloadPolicy::default()
-            };
-            let mut gov = StreamGovernor::with_policy(fresh_online(), policy).unwrap();
-            gov.set_fallback(Some(FallbackScorer::new(|w: &[f32]| {
-                w.iter().fold(0.0f32, |acc, &x| acc.max(x.abs()))
-            })));
-            let core =
-                serve::ServeCore::new(gov, serve::ServeOptions { verdict_log: None }).unwrap();
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let server = std::thread::spawn(move || {
-                serve::serve(listener, core, serve::ServeConfig::default(), shutdown).unwrap()
-            });
-
-            let span =
-                serve_frames.last().map_or(1.0, |f| f.0) - serve_frames.first().map_or(0.0, |f| f.0)
-                    + 1.0;
-            let t0 = Instant::now();
-            let clients: Vec<_> = (0..conns)
-                .map(|c| {
-                    let frames = serve_frames.clone();
-                    std::thread::spawn(move || {
-                        let mut client = ServeClient::connect(addr, c as u32);
-                        let mut latencies = Vec::with_capacity(frames.len());
-                        let mut admitted = 0usize;
-                        // Distinct timestamp lanes per connection so every
-                        // admitted frame is a fresh arrival, not a duplicate.
-                        let offset = span * (c + 1) as f64;
-                        for (seq, (ts, values)) in frames.iter().enumerate() {
-                            let msg = WireMsg::Ingest {
-                                seq: seq as u64,
-                                frames: vec![WireFrame {
-                                    timestamp: *ts + offset,
-                                    values: values.clone(),
-                                }],
-                            };
-                            let sent = Instant::now();
-                            client.send(&msg);
-                            match client.recv() {
-                                WireMsg::Ack { admitted: a, .. } => admitted += a as usize,
-                                WireMsg::Reject { admitted: a, .. } => admitted += a as usize,
-                                other => panic!("unexpected reply: {other:?}"),
-                            }
-                            latencies.push(sent.elapsed().as_secs_f64());
-                        }
-                        (latencies, admitted)
-                    })
-                })
-                .collect();
-            let mut latencies = Vec::new();
-            let mut admitted = 0usize;
-            for c in clients {
-                let (l, a) = c.join().unwrap();
-                latencies.extend(l);
-                admitted += a;
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-
-            let mut drainer = ServeClient::connect(addr, 0);
-            drainer.send(&WireMsg::Drain);
-            match drainer.recv() {
-                WireMsg::DrainAck(_) => {}
-                other => panic!("expected DrainAck, got {other:?}"),
-            }
-            server.join().unwrap();
-
-            latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
-            let sent = serve_frames.len() * conns;
-            ServeThroughputRow {
-                connections: conns,
-                frames_sent: sent,
-                frames_admitted: admitted,
-                frames_per_sec: if elapsed > 0.0 { sent as f64 / elapsed } else { 0.0 },
-                p50_admission_latency_secs: pct(0.50),
-                p99_admission_latency_secs: pct(0.99),
-            }
-        })
-        .collect();
-    aero_parallel::set_max_threads(1);
-
     // --- Memory at scale: shared frozen backbone + per-star deltas vs one
-    // full model per star (DESIGN.md §17). Runs last so the process-global
-    // int8 opt-in flipped for the quantized-rung rows cannot leak into the
-    // timing sections above (it is reset afterwards regardless). ---
+    // full model per star (DESIGN.md §17). ---
     let memory_at_scale = {
         use std::collections::HashSet;
 
@@ -981,51 +759,6 @@ fn main() {
             })
             .collect();
 
-        // Quantized rung: per-frame cost of an all-Stage1 frame, f32 vs
-        // int8, over the same streamed frames as the ladder rows.
-        let rung_cost = |quant: bool| {
-            let mut online = fresh_online();
-            online.set_quantized_rungs(quant);
-            let mut offset = 0.0;
-            time_secs(reps, || {
-                for (ts, values) in &frames {
-                    online.push_with_modes(*ts + offset, values, &stage1_modes).unwrap();
-                }
-                offset += span;
-            }) / frames.len().max(1) as f64
-        };
-        let f32_rung = rung_cost(false);
-        let int8_rung = rung_cost(true);
-        // The int8 rung flipped the process-wide opt-in; drop it before the
-        // drift arms so the f32 reference stays on the pinned path.
-        aero_tensor::set_quant(false);
-
-        // Drift envelope of a mixed Full/Stage1 frame, int8 vs f32 (the
-        // backbone.rs gates assert all-Full stays bitwise; this records the
-        // measured Stage1 envelope the 0.2/0.02 gates bound).
-        let mut mixed = vec![ScoreMode::Full; n];
-        for (v, m) in mixed.iter_mut().enumerate() {
-            if v % 2 == 1 {
-                *m = ScoreMode::Stage1;
-            }
-        }
-        let small = deltas_for(n);
-        let mut f32_arm = Aero::from_backbone(&backbone, &small).unwrap();
-        f32_arm.set_quantized(false);
-        let reference = f32_arm.score_with_modes(&ds.test, &mixed).unwrap();
-        let mut int8_arm = Aero::from_backbone(&backbone, &small).unwrap();
-        int8_arm.set_quantized(true);
-        let got = int8_arm.score_with_modes(&ds.test, &mixed).unwrap();
-        aero_tensor::set_quant(false);
-        let mut worst = 0.0f32;
-        let mut sum = 0.0f64;
-        for (a, b) in reference.as_slice().iter().zip(got.as_slice()) {
-            let d = (a - b).abs();
-            worst = worst.max(d);
-            sum += f64::from(d);
-        }
-        let mean = sum / reference.as_slice().len().max(1) as f64;
-
         MemoryAtScaleReport {
             stars_measured: fleet_stars,
             shared_total_bytes_measured: shared_total,
@@ -1035,14 +768,6 @@ fn main() {
             second_fleet_marginal_bytes_measured: marginal,
             model_vs_measured_rel_err: rel_err,
             memory_curve,
-            quantized_rung: QuantRungReport {
-                frames_per_sample: frames.len(),
-                stage1_f32_secs_per_frame: f32_rung,
-                stage1_int8_secs_per_frame: int8_rung,
-                int8_saving_ratio: speedup_ratio(f32_rung, int8_rung),
-                mixed_frame_worst_abs_drift: worst,
-                mixed_frame_mean_abs_drift: mean,
-            },
         }
     };
 
@@ -1088,7 +813,6 @@ fn main() {
         score_window: stage(score_1t, score_nt),
         e2e_detect: stage(e2e_1t, e2e_nt),
         batched_inference: batched_report,
-        pipelined_push: pipelined_report,
         streaming_allocs,
         memory_at_scale,
         wal_overhead: WalReport {
@@ -1114,10 +838,6 @@ fn main() {
             rows: fleet_rows,
         },
         migration_pause,
-        serve_throughput: ServeThroughputReport {
-            frames_per_connection: frames.len(),
-            rows: serve_rows,
-        },
     };
     let pretty = serde_json::to_string_pretty(&report).unwrap();
     std::fs::write(&args.out, format!("{pretty}\n")).expect("writing the benchmark report");

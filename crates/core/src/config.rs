@@ -96,13 +96,6 @@ pub struct AeroConfig {
     /// anomalies are sustained, so light smoothing trades a little response
     /// sharpness for fewer isolated false alarms.
     pub score_smoothing: usize,
-    /// Route Stage-1 scoring through the batched cross-star path: all
-    /// stars' windows stacked into one `(N·W) × d` matrix, one GEMM per
-    /// Transformer layer instead of N small ones. Bitwise identical to the
-    /// per-star path (gated in tier-1), so it defaults on; the flag exists
-    /// for A/B benchmarking and as an escape hatch. `AERO_BATCHED=0/1`
-    /// overrides it at runtime.
-    pub batched_inference: bool,
     /// Rank `r` of the per-star adapter head layered over the shared frozen
     /// backbone (`0` = no adapters; the classic monolithic model). Each star
     /// then owns only `2·r·ω + O(1)` scalars — the "delta" that v3
@@ -113,20 +106,10 @@ pub struct AeroConfig {
     /// Online SGD learning rate for the adapter heads.
     #[serde(default = "default_adapter_lr")]
     pub adapter_lr: f32,
-    /// Route degraded-rung (`Stage1Only`/`SrFallback`) scoring through the
-    /// opt-in int8 quantized GEMM path. Tolerance-gated, default off:
-    /// `FullAero` scoring stays bitwise regardless. `AERO_QUANT=1` or
-    /// [`crate::model::Aero::set_quantized`] override at runtime.
-    #[serde(default)]
-    pub quantized_rungs: bool,
 }
 
 fn default_adapter_lr() -> f32 {
     0.05
-}
-
-fn default_batched_inference() -> bool {
-    true
 }
 
 impl Default for AeroConfig {
@@ -161,10 +144,8 @@ impl AeroConfig {
             noise_iterations: 2,
             amplitude_matching: true,
             score_smoothing: 1,
-            batched_inference: default_batched_inference(),
             adapter_rank: 0,
             adapter_lr: default_adapter_lr(),
-            quantized_rungs: false,
         }
     }
 

@@ -562,12 +562,6 @@ pub struct FleetCoordinator {
     factory: ShardFactory,
     fallback: Option<FallbackScorer>,
     config: FleetConfig,
-    /// Fleet-wide batched-inference override, re-applied to every shard a
-    /// restart rebuilds (the factory's model config is the default).
-    batched_override: Option<bool>,
-    /// Fleet-wide quantized-rung override, same lifecycle as
-    /// `batched_override`.
-    quantized_override: Option<bool>,
     /// `None` while a shard is down or quarantined.
     shards: Vec<Option<StreamGovernor>>,
     states: Vec<ShardState>,
@@ -906,8 +900,6 @@ impl FleetCoordinator {
             factory,
             fallback,
             config,
-            batched_override: None,
-            quantized_override: None,
             shards: (0..num_shards).map(|_| None).collect(),
             states: vec![ShardState::Down; num_shards],
             last_errors: vec![None; num_shards],
@@ -942,27 +934,6 @@ impl FleetCoordinator {
         }
     }
 
-    /// Routes every shard's Stage-1 through (or around) the batched
-    /// cross-star path — see [`crate::Aero::set_batched`]. Applies to live
-    /// shards immediately and to every shard a later restart rebuilds.
-    pub fn set_batched_inference(&mut self, on: bool) {
-        self.batched_override = Some(on);
-        for gov in self.shards.iter_mut().flatten() {
-            gov.set_batched_inference(on);
-        }
-    }
-
-    /// Opts every shard's degraded rungs into int8 quantized Stage-1 GEMMs —
-    /// see [`crate::Aero::set_quantized`]. Applies to live shards immediately
-    /// and to every shard a later restart rebuilds. `FullAero` stars stay on
-    /// the f32 path bitwise regardless.
-    pub fn set_quantized_rungs(&mut self, on: bool) {
-        self.quantized_override = Some(on);
-        for gov in self.shards.iter_mut().flatten() {
-            gov.set_quantized_rungs(on);
-        }
-    }
-
     /// Builds shard `k`'s detector via the factory and validates its width.
     fn build_online(&self, shard: usize) -> DetectorResult<OnlineAero> {
         self.build_online_members(self.assignment.members(shard))
@@ -972,19 +943,13 @@ impl FleetCoordinator {
     /// constructs shards for a membership the live assignment does not have
     /// yet.
     fn build_online_members(&self, members: &[usize]) -> DetectorResult<OnlineAero> {
-        let mut online = (self.factory)(members)?;
+        let online = (self.factory)(members)?;
         if online.num_variates() != members.len() {
             return Err(DetectorError::Invalid(format!(
                 "factory built {} variates for {} member stars",
                 online.num_variates(),
                 members.len()
             )));
-        }
-        if let Some(on) = self.batched_override {
-            online.set_batched_inference(on);
-        }
-        if let Some(on) = self.quantized_override {
-            online.set_quantized_rungs(on);
         }
         Ok(online)
     }
@@ -1031,23 +996,15 @@ impl FleetCoordinator {
         wal_dir: Option<&Path>,
         wal_config: WalConfig,
         trailing_polls: usize,
-        batched: Option<bool>,
-        quantized: Option<bool>,
         seed: Option<&(DetectorState, GovernorState)>,
     ) -> DetectorResult<StreamGovernor> {
-        let mut online = factory(members)?;
+        let online = factory(members)?;
         if online.num_variates() != members.len() {
             return Err(DetectorError::Invalid(format!(
                 "factory built {} variates for {} member stars",
                 online.num_variates(),
                 members.len()
             )));
-        }
-        if let Some(on) = batched {
-            online.set_batched_inference(on);
-        }
-        if let Some(on) = quantized {
-            online.set_quantized_rungs(on);
         }
         let mut gov = match seed {
             Some(seed) => Self::seeded_governor(online, overload, fallback, seed)?,
@@ -1098,8 +1055,6 @@ impl FleetCoordinator {
             .map(|r| shard_epoch_wal_dir(r, shard, self.shard_epochs[shard]));
         let wal_config = self.shard_wal_config(shard);
         let trailing = self.trailing_polls[shard];
-        let batched = self.batched_override;
-        let quantized = self.quantized_override;
         let seed = self.seeds[shard].clone();
         let outcome = self.supervisor.run(shard, || {
             Self::rebuild_shard(
@@ -1110,8 +1065,6 @@ impl FleetCoordinator {
                 wal_dir.as_deref(),
                 wal_config,
                 trailing,
-                batched,
-                quantized,
                 seed.as_deref(),
             )
         });
@@ -1265,7 +1218,7 @@ impl FleetCoordinator {
             }
             self.pending_out[k].extend(drained);
             let (detector, governor) = match self.shards[k].as_ref() {
-                Some(gov) => (gov.online().export_migration()?, gov.export_migration()?),
+                Some(gov) => (gov.online().export_migration(), gov.export_migration()?),
                 None => return Ok(false),
             };
             snapshots.push(ShardSnapshot {

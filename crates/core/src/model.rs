@@ -39,11 +39,9 @@ pub enum ScoreMode {
 /// Stage-1 output held between the two halves of the split scoring
 /// pipeline: the scaled series, its scoring windows and their error
 /// matrices, plus the degradation modes the pass was started with. Produced
-/// by [`Aero::score_stage1`], consumed by [`Aero::score_stage2`] /
-/// [`Aero::score_stage2_detached`] — the pipelined push holds one of these
-/// per in-flight frame.
+/// by [`Aero::score_stage1`], consumed by [`Aero::score_stage2`].
 #[derive(Debug)]
-pub(crate) struct PendingStage1 {
+struct PendingStage1 {
     scaled: MultivariateSeries,
     ends: Vec<usize>,
     errors: Vec<Matrix>,
@@ -56,6 +54,12 @@ pub(crate) struct PendingStage1 {
 /// shards and supervised scoring). The crash-recovery suite installs hooks
 /// that panic or stall for chosen stars to prove isolation; production
 /// leaves it unset, where it costs one `Option` check.
+///
+/// An installed hook is also what routes Stage-1 scoring through the
+/// per-star tape path instead of the batched cross-star forward (the
+/// batched forward has no per-star failure boundary to fire it at). A
+/// no-op hook (`ChaosHook::new(|_| {})`) therefore selects the per-star
+/// path as a reference oracle without injecting any fault.
 #[derive(Clone)]
 pub struct ChaosHook(Arc<dyn Fn(usize) + Send + Sync>);
 
@@ -141,15 +145,9 @@ pub struct Aero {
     supervision: Option<SupervisionCell>,
     /// Optional chaos-testing fault hook (see [`ChaosHook`]).
     chaos_hook: Option<ChaosHook>,
-    /// Programmatic override of `config.batched_inference` (A/B harnesses);
-    /// `None` falls through to the `AERO_BATCHED` env var, then the config.
-    batched_override: Option<bool>,
     /// Per-star adapter heads over the (frozen) backbone; `Some` iff
     /// `config.adapter_rank > 0` and modules are built.
     adapters: Option<AdapterSet>,
-    /// Programmatic override of `config.quantized_rungs`; `None` falls
-    /// through to the `AERO_QUANT` env var, then the config.
-    quant_override: Option<bool>,
     /// Recycled scoring-pass allocations (see [`ScoreScratch`]).
     scratch: Mutex<ScoreScratch>,
 }
@@ -172,9 +170,7 @@ impl Aero {
             stage2_history: TrainingHistory::default(),
             supervision: None,
             chaos_hook: None,
-            batched_override: None,
             adapters: None,
-            quant_override: None,
             scratch: Mutex::new(ScoreScratch::default()),
         })
     }
@@ -184,64 +180,6 @@ impl Aero {
     /// to protect).
     fn scratch_lock(&self) -> std::sync::MutexGuard<'_, ScoreScratch> {
         self.scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Forces the batched Stage-1 path on or off for this instance,
-    /// overriding both `config.batched_inference` and the `AERO_BATCHED`
-    /// env var. Used by the equivalence tests and A/B benchmarks.
-    pub fn set_batched(&mut self, on: bool) {
-        self.batched_override = Some(on);
-    }
-
-    /// Whether Stage-1 scoring routes through the batched cross-star path.
-    /// Precedence: [`Aero::set_batched`] > `AERO_BATCHED=0/1` > config.
-    pub fn batched_enabled(&self) -> bool {
-        if let Some(on) = self.batched_override {
-            return on;
-        }
-        static ENV: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-        let env = ENV.get_or_init(|| match std::env::var("AERO_BATCHED") {
-            Ok(v) if v == "0" => Some(false),
-            Ok(v) if v == "1" => Some(true),
-            _ => None,
-        });
-        env.unwrap_or(self.config.batched_inference)
-    }
-
-    /// Forces the int8 quantized degraded-rung path on or off for this
-    /// instance, overriding both `config.quantized_rungs` and the
-    /// `AERO_QUANT` env var. Enabling it also opts the process into the
-    /// tensor layer's quant mode (a [`aero_tensor::QuantScope`] is still
-    /// required per thread, and only degraded-star scoring enters one, so
-    /// other in-process detectors stay on the pinned f32 path).
-    pub fn set_quantized(&mut self, on: bool) {
-        self.quant_override = Some(on);
-        if on {
-            aero_tensor::set_quant(true);
-        }
-    }
-
-    /// Whether degraded-rung (`Stage1`) scoring routes through the int8
-    /// quantized GEMM path. Precedence: [`Aero::set_quantized`] >
-    /// `AERO_QUANT=1` > config. `Full` stars never do, regardless.
-    pub fn quantized_enabled(&self) -> bool {
-        if let Some(on) = self.quant_override {
-            return on;
-        }
-        aero_tensor::quant_opt_in() || self.config.quantized_rungs
-    }
-
-    /// Enters a quantized-GEMM scope when this instance has quantization
-    /// enabled (and makes sure the process-level opt-in agrees, e.g. when
-    /// only `config.quantized_rungs` asked for it).
-    fn quant_scope(&self) -> Option<aero_tensor::QuantScope> {
-        if !self.quantized_enabled() {
-            return None;
-        }
-        if !aero_tensor::quant_opt_in() {
-            aero_tensor::set_quant(true);
-        }
-        Some(aero_tensor::QuantScope::enter())
     }
 
     /// Installs (or clears) the chaos-testing fault hook.
@@ -325,9 +263,8 @@ impl Aero {
         scaled: &MultivariateSeries,
         end: usize,
         skip: Option<&[bool]>,
-        cheap: Option<&[bool]>,
     ) -> DetectorResult<Matrix> {
-        let mut e = self.window_errors_backbone(scaled, end, skip, cheap)?;
+        let mut e = self.window_errors_backbone(scaled, end, skip)?;
         self.apply_adapters(scaled, end, skip, &mut e)?;
         Ok(e)
     }
@@ -376,16 +313,16 @@ impl Aero {
     /// transformer — checked *before* the chaos hook and the supervisor, so
     /// a skipped star costs nothing and leaves its breaker state untouched.
     ///
-    /// `cheap[v] = true` marks a degraded-rung (`Stage1`) star: when the
-    /// int8 quant mode is enabled, that star's transformer runs inside a
-    /// [`aero_tensor::QuantScope`]. With quantization off (the default)
-    /// `cheap` changes nothing and the pass stays bitwise.
+    /// With univariate input, scoring takes the batched cross-star forward
+    /// ([`Aero::window_errors_batched`]) unless a [`ChaosHook`] is
+    /// installed: an installed hook routes it through the per-star tape
+    /// path, which fires the hook per star and isolates per-star failures.
+    /// The two paths are bitwise identical (tier-1 gated).
     fn window_errors_backbone(
         &self,
         scaled: &MultivariateSeries,
         end: usize,
         skip: Option<&[bool]>,
-        cheap: Option<&[bool]>,
     ) -> DetectorResult<Matrix> {
         let w = self.config.window;
         let omega = self.omega();
@@ -414,14 +351,13 @@ impl Aero {
             // boundary anyway (an error fails the whole frame). Chaos tests
             // need per-star fault isolation, so an installed hook keeps the
             // per-star path.
-            if self.chaos_hook.is_none() && self.batched_enabled() {
-                return self.window_errors_batched(temporal, &x, &y, &positions, &deltas, skip, cheap);
+            if self.chaos_hook.is_none() {
+                return self.window_errors_batched(temporal, &x, &y, &positions, &deltas, skip);
             }
             // Each variate owns an independent tape over a shared read-only
             // store — embarrassingly parallel. Rows land by variate index,
             // so the result is order-deterministic.
             let hook = self.chaos_hook.clone();
-            let is_cheap = |v: usize| cheap.is_some_and(|c| c.get(v).copied().unwrap_or(false));
             let score_one = |v: usize| -> DetectorResult<Vec<f32>> {
                 if is_skipped(v) {
                     return Ok(vec![0.0; omega]);
@@ -429,10 +365,6 @@ impl Aero {
                 if let Some(hook) = &hook {
                     hook.fire(v);
                 }
-                // Degraded-rung stars may take the int8 GEMM path; the scope
-                // is thread-local, so Full stars scored by sibling pool
-                // threads stay on the pinned f32 path.
-                let _quant = if is_cheap(v) { self.quant_scope() } else { None };
                 let long = Matrix::col_vector(x.row(v));
                 let short = Matrix::col_vector(y.row(v));
                 let mut g = Graph::new();
@@ -485,13 +417,6 @@ impl Aero {
         } else {
             let long = x.transpose(); // W × N tokens
             let short = y.transpose();
-            // Joint input runs one whole-frame forward, so the int8 path can
-            // only engage when *every* scored star is on a degraded rung —
-            // a single Full star keeps the frame on the pinned f32 path.
-            let all_cheap = cheap.is_some_and(|c| {
-                (0..n).all(|v| is_skipped(v) || c.get(v).copied().unwrap_or(false))
-            });
-            let _quant = if all_cheap { self.quant_scope() } else { None };
             let mut g = Graph::new();
             let out =
                 temporal.reconstruct(&mut g, &self.store, &long, &short, &positions, &deltas)?;
@@ -515,15 +440,6 @@ impl Aero {
     /// layer instead of A small ones. Results are de-interleaved back into
     /// per-star rows of `E`. Skipped stars keep zero rows and never enter
     /// the stack, matching the per-star path exactly.
-    ///
-    /// With the int8 quant mode enabled and a mixed frame, the stack splits
-    /// in two: `Full` stars in one f32 stack, degraded (`cheap`) stars in a
-    /// second stack evaluated inside a quant scope. The batched forward is
-    /// bitwise independent of stack composition (per-star equivalence is
-    /// tier-1 gated), so the split changes nothing for the `Full` stars; and
-    /// with quantization off (default) there is exactly one stack, same as
-    /// before.
-    #[allow(clippy::too_many_arguments)]
     fn window_errors_batched(
         &self,
         temporal: &TemporalModule,
@@ -532,50 +448,16 @@ impl Aero {
         positions: &[f32],
         deltas: &[f32],
         skip: Option<&[bool]>,
-        cheap: Option<&[bool]>,
     ) -> DetectorResult<Matrix> {
         let n = x.rows();
-        let omega = y.cols();
-        let is_skipped = |v: usize| skip.is_some_and(|s| s.get(v).copied().unwrap_or(false));
-        let is_cheap = |v: usize| cheap.is_some_and(|c| c.get(v).copied().unwrap_or(false));
-        let active: Vec<usize> = (0..n).filter(|&v| !is_skipped(v)).collect();
-        let mut e = Matrix::zeros(n, omega);
-        if active.is_empty() {
-            return Ok(e);
-        }
-        let quantize = self.quantized_enabled() && active.iter().any(|&v| is_cheap(v));
-        let stacks: Vec<(Vec<usize>, bool)> = if quantize {
-            let (cheap_stars, full_stars): (Vec<usize>, Vec<usize>) =
-                active.iter().partition(|&&v| is_cheap(v));
-            [(full_stars, false), (cheap_stars, true)]
-                .into_iter()
-                .filter(|(stars, _)| !stars.is_empty())
-                .collect()
-        } else {
-            vec![(active, false)]
-        };
-        for (stars, quant) in stacks {
-            let _scope = if quant { self.quant_scope() } else { None };
-            self.run_batched_stack(temporal, x, y, positions, deltas, &stars, &mut e)?;
-        }
-        Ok(e)
-    }
-
-    /// Runs one stacked batched forward over `stars` and writes their error
-    /// rows into `e`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batched_stack(
-        &self,
-        temporal: &TemporalModule,
-        x: &Matrix,
-        y: &Matrix,
-        positions: &[f32],
-        deltas: &[f32],
-        stars: &[usize],
-        e: &mut Matrix,
-    ) -> DetectorResult<()> {
         let w = x.cols();
         let omega = y.cols();
+        let is_skipped = |v: usize| skip.is_some_and(|s| s.get(v).copied().unwrap_or(false));
+        let stars: Vec<usize> = (0..n).filter(|&v| !is_skipped(v)).collect();
+        let mut e = Matrix::zeros(n, omega);
+        if stars.is_empty() {
+            return Ok(e);
+        }
         let blocks = stars.len();
         let mut long = Matrix::zeros(blocks * w, 1);
         let mut short = Matrix::zeros(blocks * omega, 1);
@@ -590,7 +472,7 @@ impl Aero {
                 e.set(v, t, y.get(v, t) - recon.get(b * omega + t, 0));
             }
         }
-        Ok(())
+        Ok(e)
     }
 
     /// Snapshot of every parameter value, for divergence rollback.
@@ -765,7 +647,7 @@ impl Aero {
             // Backbone errors on purpose: the GCN learns to reconstruct the
             // *shared* Stage-1 error structure; per-star heads are layered on
             // afterwards (and are identity during fit anyway).
-            errors.push(self.window_errors_backbone(scaled, end, None, None)?);
+            errors.push(self.window_errors_backbone(scaled, end, None)?);
         }
 
         let mut lr = self.config.lr;
@@ -840,14 +722,14 @@ impl Aero {
         skip: Option<&[bool]>,
         run_stage2: bool,
     ) -> DetectorResult<(Matrix, Matrix)> {
-        let e = self.window_errors_internal(scaled, end, skip, None)?;
+        let e = self.window_errors_internal(scaled, end, skip)?;
         self.stage2_from_error(scaled, end, e, graphs, run_stage2)
     }
 
     /// Stage-2 noise cancellation for one window given its precomputed
     /// Stage-1 error matrix — the second half of [`window_residual_with`]
-    /// (split out so the pipelined push can run Stage-2 of frame `t−1`
-    /// while Stage-1 of frame `t` scores concurrently).
+    /// (split out so [`Aero::score_stage2`] can finish a pass whose Stage-1
+    /// errors were computed separately).
     fn stage2_from_error(
         &self,
         scaled: &MultivariateSeries,
@@ -941,7 +823,7 @@ impl Aero {
     /// the temporal module over every scoring window and returns the error
     /// matrices plus everything Stage-2 needs to finish the pass.
     /// `modes = None` means an undegraded pass (all stars `Full`).
-    pub(crate) fn score_stage1(
+    fn score_stage1(
         &self,
         series: &MultivariateSeries,
         modes: Option<&[ScoreMode]>,
@@ -962,15 +844,10 @@ impl Aero {
         }
         let skip: Option<Vec<bool>> =
             modes.map(|m| m.iter().map(|mode| *mode == ScoreMode::Skip).collect());
-        // Degraded (Stage-1-only) stars are eligible for the opt-in int8
-        // path; `Full` stars never are, so FullAero scoring stays bitwise.
-        let cheap: Option<Vec<bool>> =
-            modes.map(|m| m.iter().map(|mode| *mode == ScoreMode::Stage1).collect());
         let run_stage2 = modes.is_none_or(|m| m.contains(&ScoreMode::Full));
         let ends = self.score_ends(scaled.len());
         let errors = {
             let skip = skip.as_deref();
-            let cheap = cheap.as_deref();
             if ends.len() == 1 {
                 // Streaming fast path: one scoring window per push, so skip
                 // the fan-out (and its per-call result vectors) and reuse
@@ -980,7 +857,7 @@ impl Aero {
                 out.clear();
                 let end = ends[0];
                 let e = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.window_errors_internal(&scaled, end, skip, cheap)
+                    self.window_errors_internal(&scaled, end, skip)
                 }))
                 .unwrap_or_else(|payload| {
                     Err(DetectorError::from(aero_parallel::ShardError {
@@ -992,7 +869,7 @@ impl Aero {
                 out
             } else {
                 aero_parallel::supervised_map(&ends, |_, &end| {
-                    self.window_errors_internal(&scaled, end, skip, cheap)
+                    self.window_errors_internal(&scaled, end, skip)
                 })
                 .into_iter()
                 .map(|r| r.map_err(DetectorError::from)?)
@@ -1012,7 +889,7 @@ impl Aero {
     /// min-combines them into the final score matrix. Composing this with
     /// [`Aero::score_stage1`] is exactly [`Detector::score`] (modes `None`)
     /// or [`Aero::score_with_modes`] — both delegate here.
-    pub(crate) fn score_stage2(&mut self, pending: PendingStage1) -> DetectorResult<Matrix> {
+    fn score_stage2(&mut self, pending: PendingStage1) -> DetectorResult<Matrix> {
         self.graphs.reset();
         let residuals = if self.graphs.is_stateful() {
             let mut graphs = self.graphs.clone();
@@ -1082,31 +959,9 @@ impl Aero {
         scratch.timestamps = ts;
     }
 
-    /// Like [`Aero::score_stage2`] but borrowing `self` immutably, so the
-    /// pipelined push can finish frame `t−1` while frame `t`'s Stage-1
-    /// scores concurrently on another thread. Works on a reset clone of the
-    /// graph builder; every scoring pass resets the builder on entry anyway,
-    /// so discarding the clone's state afterwards is indistinguishable from
-    /// the sequential path.
-    pub(crate) fn score_stage2_detached(&self, pending: &PendingStage1) -> DetectorResult<Matrix> {
-        let mut graphs = self.graphs.clone();
-        graphs.reset();
-        let mut residuals = Vec::with_capacity(pending.ends.len());
-        for (&end, e) in pending.ends.iter().zip(&pending.errors) {
-            residuals.push(self.stage2_from_error(
-                &pending.scaled,
-                end,
-                e.clone(),
-                &mut graphs,
-                pending.run_stage2,
-            )?);
-        }
-        Ok(self.combine_scores(pending, &residuals))
-    }
-
     /// Min-combines window residuals into the final `N × len` score matrix
     /// (mode-aware), zeroes unscored (warmup) columns, and applies score
-    /// smoothing — the shared tail of both scoring paths.
+    /// smoothing.
     fn combine_scores(&self, pending: &PendingStage1, residuals: &[(Matrix, Matrix)]) -> Matrix {
         let n = pending.scaled.num_variates();
         let len = pending.scaled.len();
@@ -1180,7 +1035,7 @@ impl Aero {
             return Err(DetectorError::Invalid("call fit() first".into()));
         }
         let scaled = self.scaler.transform(series)?;
-        let e = self.window_errors_internal(&scaled, end, None, None)?;
+        let e = self.window_errors_internal(&scaled, end, None)?;
         Ok(crate::graph_learn::window_adjacency(&e))
     }
 

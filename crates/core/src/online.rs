@@ -40,7 +40,7 @@ use aero_tensor::Matrix;
 use aero_timeseries::MultivariateSeries;
 
 use crate::detector::{Detector, DetectorError, DetectorResult};
-use crate::model::{Aero, PendingStage1, ScoreMode};
+use crate::model::{Aero, ScoreMode};
 use crate::overload::OverloadCounters;
 use crate::supervisor::{SupervisionError, Supervisor, SupervisorPolicy};
 use crate::wal::WalWriter;
@@ -358,30 +358,10 @@ pub struct OnlineAero {
     /// Write-ahead log; when attached, `push` appends the raw frame before
     /// any state mutation (see `crate::wal`).
     wal: Option<WalWriter>,
-    /// Frame whose Stage-1 pass has run but whose Stage-2/verdict is still
-    /// outstanding — the one-deep pipeline of
-    /// [`push_pipelined`](Self::push_pipelined).
-    pending: Option<PendingFrame>,
     /// Recycled timestamp buffer for [`Self::buffer_series`]: the scored
     /// series hands its `Vec<f64>` back after each sequential push so the
     /// steady-state path re-fills it instead of allocating.
     ts_scratch: Vec<f64>,
-}
-
-/// A frame in flight in the pipelined push: ingested and Stage-1-scored,
-/// awaiting Stage-2 + verdict emission on the *next* push (or
-/// [`OnlineAero::flush`]).
-#[derive(Debug)]
-struct PendingFrame {
-    frame: usize,
-    timestamp: f64,
-    gap_filled: usize,
-    stage1: PendingStage1,
-    /// Star statuses as of this frame's ingest. The next push's ingest
-    /// updates `star_status` *before* this frame's verdict is finalized, so
-    /// the verdict must read the snapshot — that is what keeps the pipelined
-    /// verdict stream bitwise identical to the sequential one.
-    status_snapshot: Vec<StarStatus>,
 }
 
 /// Outcome of the ingest half of a push: either the frame needs no model
@@ -454,7 +434,6 @@ impl OnlineAero {
             health: HealthReport::default(),
             supervisor,
             wal: None,
-            pending: None,
             ts_scratch: Vec::new(),
         })
     }
@@ -588,152 +567,12 @@ impl OnlineAero {
         self.push_inner(timestamp, values, Some(modes))
     }
 
-    /// Pipelined [`push`](Self::push): frame `t`'s Stage-1 transformer pass
-    /// overlaps with frame `t−1`'s Stage-2 GCN + verdict on the
-    /// `aero-parallel` pool, trading one frame of verdict latency for
-    /// near-2× steady-state throughput on multi-core hosts.
-    ///
-    /// The WAL append (first, before any state change) and the verdict
-    /// stream are identical to sequential pushes — verdicts simply arrive
-    /// one call later: each call returns the *previous* frame's verdict
-    /// (plus, for dropped/warmup frames which need no model work, the
-    /// current frame's own verdict). Call [`flush`](Self::flush) at end of
-    /// stream for the last in-flight verdict. Mixing with sequential
-    /// [`push`](Self::push) requires a `flush` in between (enforced).
-    ///
-    /// The pipelined pass runs Stage-1 unsupervised: a scoring failure
-    /// propagates as an error rather than degrading per-star, so chaos
-    /// isolation testing should use the sequential path.
-    pub fn push_pipelined(
-        &mut self,
-        timestamp: f64,
-        values: &[f32],
-    ) -> DetectorResult<Vec<FrameVerdict>> {
-        self.check_width(values)?;
-        if let Some(wal) = self.wal.as_mut() {
-            wal.append(timestamp, values)?;
-        }
-        let mut out = Vec::with_capacity(2);
-        match self.ingest(timestamp, values) {
-            Ingested::Deferred(verdict) => {
-                // No model work for this frame; finish the in-flight one
-                // first so verdicts still emit in frame order.
-                if let Some(prev) = self.flush()? {
-                    out.push(prev);
-                }
-                out.push(verdict);
-            }
-            Ingested::Ready { frame, timestamp, gap_filled } => {
-                let series = self.buffer_series()?;
-                let prev = self.pending.take();
-                let model = &self.model;
-                let (stage1, prev_scores) = match &prev {
-                    Some(p) => {
-                        // The overlap: both closures borrow the model
-                        // immutably — Stage-1 of frame t reads parameters,
-                        // Stage-2 of t−1 reads parameters + its own pending
-                        // errors. All OnlineAero state mutation happens
-                        // outside the join, in frame order.
-                        let (s1, s2) = aero_parallel::join(
-                            || model.score_stage1(&series, None),
-                            || model.score_stage2_detached(&p.stage1),
-                        );
-                        (s1, Some(s2))
-                    }
-                    None => (model.score_stage1(&series, None), None),
-                };
-                if let (Some(p), Some(scores)) = (prev, prev_scores) {
-                    let scores = scores?;
-                    out.push(self.finalize_pending(p, scores));
-                }
-                self.pending = Some(PendingFrame {
-                    frame,
-                    timestamp,
-                    gap_filled,
-                    stage1: stage1?,
-                    status_snapshot: self.star_status.clone(),
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Completes the in-flight pipelined frame, if any: runs its Stage-2
-    /// pass and returns its verdict. No-op (`None`) when nothing is pending.
-    pub fn flush(&mut self) -> DetectorResult<Option<FrameVerdict>> {
-        let Some(prev) = self.pending.take() else {
-            return Ok(None);
-        };
-        let scores = self.model.score_stage2_detached(&prev.stage1)?;
-        Ok(Some(self.finalize_pending(prev, scores)))
-    }
-
-    /// Stage-2 + verdict emission for a pipelined frame — the mutation tail
-    /// that [`score_newest`](Self::score_newest)'s success branch performs,
-    /// reading star statuses from the frame's ingest-time snapshot.
-    fn finalize_pending(&mut self, prev: PendingFrame, scores: Matrix) -> FrameVerdict {
-        let n = self.num_variates;
-        let last = scores.cols() - 1;
-        let stars = (0..n)
-            .map(|v| {
-                let mut status = prev.status_snapshot[v];
-                let mut score = scores.get(v, last);
-                if !score.is_finite() {
-                    score = 0.0;
-                    status = status.max(StarStatus::Degraded);
-                    self.health.scores_suppressed += 1;
-                }
-                if status == StarStatus::Quarantined {
-                    return StarVerdict { score: 0.0, anomalous: false, status };
-                }
-                let cap = history_cap(self.policy.refit_window, n);
-                self.score_history[v].push_back(score);
-                if self.score_history[v].len() > cap {
-                    self.score_history[v].pop_front();
-                }
-                StarVerdict {
-                    score,
-                    anomalous: (score as f64) >= self.threshold.threshold,
-                    status,
-                }
-            })
-            .collect();
-        self.health.circuit_breaker_trips = self.supervisor.stats().circuits_opened;
-        self.scored_frames += 1;
-        self.maybe_refit();
-        FrameVerdict {
-            frame: prev.frame,
-            timestamp: prev.timestamp,
-            stars,
-            disposition: FrameDisposition::Scored,
-            gap_filled: prev.gap_filled,
-        }
-    }
-
-    /// Routes the model's Stage-1 through (or around) the batched
-    /// cross-star path — see [`Aero::set_batched`].
-    pub fn set_batched_inference(&mut self, on: bool) {
-        self.model.set_batched(on);
-    }
-
-    /// Enables (or disables) the opt-in int8 quantized GEMM path on
-    /// degraded ladder rungs — see [`Aero::set_quantized`]. `FullAero`
-    /// scoring stays bitwise regardless of this switch.
-    pub fn set_quantized_rungs(&mut self, on: bool) {
-        self.model.set_quantized(on);
-    }
-
     /// One online SGD step for star `v`'s adapter head against the current
     /// rolling buffer (see [`Aero::adapt_star`]). Callers drive this on
     /// their own cadence — typically round-robin, a star or two per frame —
     /// so steady-state push cost stays flat. Deterministic given the push
     /// sequence, so WAL replay reproduces head state bitwise.
     pub fn adapt_star(&mut self, v: usize) -> DetectorResult<u64> {
-        if self.pending.is_some() {
-            return Err(DetectorError::Invalid(
-                "flush the pipelined frame before adapting a star".into(),
-            ));
-        }
         if self.buffer.len() < self.model.config().window {
             return Err(DetectorError::Invalid(format!(
                 "buffer holds {} frames, adapter training needs W={}",
@@ -788,11 +627,6 @@ impl OnlineAero {
         values: &[f32],
         modes: Option<&[ScoreMode]>,
     ) -> DetectorResult<FrameVerdict> {
-        if self.pending.is_some() {
-            return Err(DetectorError::Invalid(
-                "pipelined frame in flight: call flush() before pushing sequentially".into(),
-            ));
-        }
         match self.ingest(timestamp, values) {
             Ingested::Deferred(verdict) => Ok(verdict),
             Ingested::Ready { frame, timestamp, gap_filled } => {
@@ -812,9 +646,8 @@ impl OnlineAero {
 
     /// The mutation half of a push: drop checks, gap fill, imputation,
     /// buffer append, status update. Infallible — data faults degrade, they
-    /// never error. Scoring (the read-only half) happens afterwards, which
-    /// is what lets the pipelined push overlap it with the previous frame's
-    /// Stage-2.
+    /// never error. Scoring happens afterwards, only for frames that come
+    /// back [`Ingested::Ready`].
     fn ingest(&mut self, timestamp: f64, values: &[f32]) -> Ingested {
         let frame = self.frames_seen;
         self.frames_seen += 1;
@@ -1167,13 +1000,8 @@ impl OnlineAero {
     /// Snapshots the detector half of a shard for live migration (DESIGN.md
     /// §16): window buffers in star-major lanes, the poll-independent shard
     /// clocks, the calibrated threshold, health counters, and every
-    /// supervisor breaker. Requires no pipelined frame in flight.
-    pub fn export_migration(&self) -> DetectorResult<crate::migrate::DetectorState> {
-        if self.pending.is_some() {
-            return Err(DetectorError::Invalid(
-                "flush the pipelined frame before exporting migration state".into(),
-            ));
-        }
+    /// supervisor breaker.
+    pub fn export_migration(&self) -> crate::migrate::DetectorState {
         let n = self.num_variates;
         let stars = (0..n)
             .map(|v| crate::migrate::StarLane {
@@ -1187,7 +1015,7 @@ impl OnlineAero {
                 adapter: self.model.adapters().and_then(|a| a.head(v)).cloned(),
             })
             .collect();
-        Ok(crate::migrate::DetectorState {
+        crate::migrate::DetectorState {
             timestamps: self.timestamps.iter().copied().collect(),
             cadence: self.cadence,
             frames_seen: self.frames_seen as u64,
@@ -1198,7 +1026,7 @@ impl OnlineAero {
             refit_breaker: self.supervisor.unit_state(n),
             frame_breaker: self.supervisor.unit_state(n + 1),
             stars,
-        })
+        }
     }
 
     /// Installs a migrated shard snapshot over a freshly built detector
@@ -1211,11 +1039,6 @@ impl OnlineAero {
         &mut self,
         state: &crate::migrate::DetectorState,
     ) -> DetectorResult<()> {
-        if self.pending.is_some() {
-            return Err(DetectorError::Invalid(
-                "cannot install migration state over a pipelined frame".into(),
-            ));
-        }
         let n = self.num_variates;
         if state.stars.len() != n {
             return Err(DetectorError::Invalid(format!(

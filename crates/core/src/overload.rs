@@ -584,21 +584,6 @@ impl StreamGovernor {
         self.fallback = fallback;
     }
 
-    /// Routes the wrapped detector's Stage-1 through (or around) the batched
-    /// cross-star path — see [`crate::Aero::set_batched`]. Bitwise identical
-    /// either way; the switch exists for A/B benchmarking.
-    pub fn set_batched_inference(&mut self, on: bool) {
-        self.online.set_batched_inference(on);
-    }
-
-    /// Opts the wrapped detector's degraded rungs into int8 quantized
-    /// Stage-1 GEMMs — see [`crate::Aero::set_quantized`]. Only
-    /// `Stage1Only`/`SrFallback` stars are affected; `FullAero` stays on the
-    /// f32 path bitwise.
-    pub fn set_quantized_rungs(&mut self, on: bool) {
-        self.online.set_quantized_rungs(on);
-    }
-
     /// Attaches a write-ahead log. Every subsequent offer (accepted or
     /// rejected) is logged *with the polls-since-previous-offer count* before
     /// the admission decision, so [`StreamGovernor::resume_wal`] can replay

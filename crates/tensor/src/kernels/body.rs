@@ -10,15 +10,6 @@
 //! path — so all backends are bitwise identical by construction; the wider
 //! ISA only changes how many *independent* output elements move per cycle.
 //!
-//! The one deliberate exception is the opt-in FMA mode (`AERO_FMA=1` /
-//! `set_fma`, default **off**): the GEMM entry points branch once on the
-//! process-global flag into a `const FMA: bool` instantiation whose inner
-//! step is `acc = a.mul_add(b, acc)`. Fused multiply-add skips the
-//! intermediate rounding, so its results are *more* accurate but not
-//! bitwise equal to the default path — which is why it is tolerance-gated
-//! in tests and never on by default. With the flag off, `mul_add` is never
-//! executed and every existing bitwise gate is untouched.
-//!
 //! The GEMM kernels use a register-tiled micro-kernel: an `MR × NR` block of
 //! output elements is held in an accumulator array (lowered to vector
 //! registers) while the shared dimension streams past. Spilling a partial
@@ -45,24 +36,11 @@ pub(crate) const GEMM_NC: usize = 512;
 
 // ---- GEMM: C += A · B ------------------------------------------------------
 
-/// One multiply-accumulate step: plain `acc + a·b` (two roundings, the
-/// bitwise-pinned default) or fused `a.mul_add(b, acc)` when the FMA mode
-/// is active. `FMA` is a const generic so the branch is decided once at the
-/// GEMM entry point, not per element.
-#[inline(always)]
-fn madd<const FMA: bool>(acc: f32, a: f32, b: f32) -> f32 {
-    if FMA {
-        a.mul_add(b, acc)
-    } else {
-        acc + a * b
-    }
-}
-
 /// Register-tiled inner block for `gemm_nn_rows`: accumulates the
 /// `MR_N × NR_W` output block at `(i, j)` over `p ∈ [pc, pc+pw)`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_nn<const MR_N: usize, const NR_W: usize, const FMA: bool>(
+fn micro_nn<const MR_N: usize, const NR_W: usize>(
     a_rows: &[f32],
     b: &[f32],
     out_rows: &mut [f32],
@@ -83,7 +61,7 @@ fn micro_nn<const MR_N: usize, const NR_W: usize, const FMA: bool>(
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let a = a_rows[(i + r) * k + p];
             for (acc_l, &bv) in acc_r.iter_mut().zip(brow) {
-                *acc_l = madd::<FMA>(*acc_l, a, bv);
+                *acc_l += a * bv;
             }
         }
     }
@@ -96,7 +74,7 @@ fn micro_nn<const MR_N: usize, const NR_W: usize, const FMA: bool>(
 /// Dispatches one `iw × NR_W` tile of `micro_nn` by row count.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_nn<const NR_W: usize, const FMA: bool>(
+fn tile_nn<const NR_W: usize>(
     a_rows: &[f32],
     b: &[f32],
     out_rows: &mut [f32],
@@ -109,10 +87,10 @@ fn tile_nn<const NR_W: usize, const FMA: bool>(
     pw: usize,
 ) {
     match iw {
-        4 => micro_nn::<4, NR_W, FMA>(a_rows, b, out_rows, k, n, i, j, pc, pw),
-        3 => micro_nn::<3, NR_W, FMA>(a_rows, b, out_rows, k, n, i, j, pc, pw),
-        2 => micro_nn::<2, NR_W, FMA>(a_rows, b, out_rows, k, n, i, j, pc, pw),
-        _ => micro_nn::<1, NR_W, FMA>(a_rows, b, out_rows, k, n, i, j, pc, pw),
+        4 => micro_nn::<4, NR_W>(a_rows, b, out_rows, k, n, i, j, pc, pw),
+        3 => micro_nn::<3, NR_W>(a_rows, b, out_rows, k, n, i, j, pc, pw),
+        2 => micro_nn::<2, NR_W>(a_rows, b, out_rows, k, n, i, j, pc, pw),
+        _ => micro_nn::<1, NR_W>(a_rows, b, out_rows, k, n, i, j, pc, pw),
     }
 }
 
@@ -120,21 +98,6 @@ fn tile_nn<const NR_W: usize, const FMA: bool>(
 /// Accumulation order per output element: `p = 0..k` strictly increasing.
 #[inline(always)]
 pub(crate) fn gemm_nn_rows(a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
-    if crate::kernels::fma_enabled() {
-        gemm_nn_impl::<true>(a_rows, b, out_rows, k, n)
-    } else {
-        gemm_nn_impl::<false>(a_rows, b, out_rows, k, n)
-    }
-}
-
-#[inline(always)]
-fn gemm_nn_impl<const FMA: bool>(
-    a_rows: &[f32],
-    b: &[f32],
-    out_rows: &mut [f32],
-    k: usize,
-    n: usize,
-) {
     if n == 0 || k == 0 {
         return;
     }
@@ -145,14 +108,14 @@ fn gemm_nn_impl<const FMA: bool>(
     // nest. Tile choice never changes per-element accumulation order, so
     // both nests are bitwise identical where they overlap.
     if n.is_multiple_of(NR) {
-        gemm_nn_nest::<false, FMA>(a_rows, b, out_rows, k, n)
+        gemm_nn_nest::<false>(a_rows, b, out_rows, k, n)
     } else {
-        gemm_nn_nest::<true, FMA>(a_rows, b, out_rows, k, n)
+        gemm_nn_nest::<true>(a_rows, b, out_rows, k, n)
     }
 }
 
 #[inline(always)]
-fn gemm_nn_nest<const NARROW: bool, const FMA: bool>(
+fn gemm_nn_nest<const NARROW: bool>(
     a_rows: &[f32],
     b: &[f32],
     out_rows: &mut [f32],
@@ -171,18 +134,18 @@ fn gemm_nn_nest<const NARROW: bool, const FMA: bool>(
                 let iw = MR.min(m_local - i);
                 let mut j = jc;
                 while j + NR <= jc + jw {
-                    tile_nn::<NR, FMA>(a_rows, b, out_rows, k, n, i, iw, j, pc, pw);
+                    tile_nn::<NR>(a_rows, b, out_rows, k, n, i, iw, j, pc, pw);
                     j += NR;
                 }
                 // Narrower register tiles for the column remainder: same
                 // per-element accumulation order, just fewer lanes per tile.
                 if NARROW {
                     while j + 8 <= jc + jw {
-                        tile_nn::<8, FMA>(a_rows, b, out_rows, k, n, i, iw, j, pc, pw);
+                        tile_nn::<8>(a_rows, b, out_rows, k, n, i, iw, j, pc, pw);
                         j += 8;
                     }
                     while j + 4 <= jc + jw {
-                        tile_nn::<4, FMA>(a_rows, b, out_rows, k, n, i, iw, j, pc, pw);
+                        tile_nn::<4>(a_rows, b, out_rows, k, n, i, iw, j, pc, pw);
                         j += 4;
                     }
                 }
@@ -195,7 +158,7 @@ fn gemm_nn_nest<const NARROW: bool, const FMA: bool>(
                             let brow = &b[p * n..(p + 1) * n];
                             let orow = &mut out_rows[r * n..(r + 1) * n];
                             for jj in j..jc + jw {
-                                orow[jj] = madd::<FMA>(orow[jj], a, brow[jj]);
+                                orow[jj] += a * brow[jj];
                             }
                         }
                     }
@@ -213,7 +176,7 @@ fn gemm_nn_nest<const NARROW: bool, const FMA: bool>(
 /// Register-tiled inner block for `gemm_tn_rows` (`a` is `k × m`).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_tn<const MR_N: usize, const NR_W: usize, const FMA: bool>(
+fn micro_tn<const MR_N: usize, const NR_W: usize>(
     a: &[f32],
     b: &[f32],
     out_rows: &mut [f32],
@@ -235,7 +198,7 @@ fn micro_tn<const MR_N: usize, const NR_W: usize, const FMA: bool>(
         let aseg = &a[p * m + i0 + i..p * m + i0 + i + MR_N];
         for (acc_r, &av) in acc.iter_mut().zip(aseg) {
             for (acc_l, &bv) in acc_r.iter_mut().zip(brow) {
-                *acc_l = madd::<FMA>(*acc_l, av, bv);
+                *acc_l += av * bv;
             }
         }
     }
@@ -248,7 +211,7 @@ fn micro_tn<const MR_N: usize, const NR_W: usize, const FMA: bool>(
 /// Dispatches one `iw × NR_W` tile of `micro_tn` by row count.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_tn<const NR_W: usize, const FMA: bool>(
+fn tile_tn<const NR_W: usize>(
     a: &[f32],
     b: &[f32],
     out_rows: &mut [f32],
@@ -262,10 +225,10 @@ fn tile_tn<const NR_W: usize, const FMA: bool>(
     pw: usize,
 ) {
     match iw {
-        4 => micro_tn::<4, NR_W, FMA>(a, b, out_rows, i0, m, n, i, j, pc, pw),
-        3 => micro_tn::<3, NR_W, FMA>(a, b, out_rows, i0, m, n, i, j, pc, pw),
-        2 => micro_tn::<2, NR_W, FMA>(a, b, out_rows, i0, m, n, i, j, pc, pw),
-        _ => micro_tn::<1, NR_W, FMA>(a, b, out_rows, i0, m, n, i, j, pc, pw),
+        4 => micro_tn::<4, NR_W>(a, b, out_rows, i0, m, n, i, j, pc, pw),
+        3 => micro_tn::<3, NR_W>(a, b, out_rows, i0, m, n, i, j, pc, pw),
+        2 => micro_tn::<2, NR_W>(a, b, out_rows, i0, m, n, i, j, pc, pw),
+        _ => micro_tn::<1, NR_W>(a, b, out_rows, i0, m, n, i, j, pc, pw),
     }
 }
 
@@ -282,38 +245,20 @@ pub(crate) fn gemm_tn_rows(
     k: usize,
     n: usize,
 ) {
-    if crate::kernels::fma_enabled() {
-        gemm_tn_impl::<true>(a, b, out_rows, i0, m, k, n)
-    } else {
-        gemm_tn_impl::<false>(a, b, out_rows, i0, m, k, n)
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gemm_tn_impl<const FMA: bool>(
-    a: &[f32],
-    b: &[f32],
-    out_rows: &mut [f32],
-    i0: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     if n == 0 || k == 0 {
         return;
     }
-    // Same wide/narrow monomorphization as `gemm_nn_impl`.
+    // Same wide/narrow monomorphization as `gemm_nn_rows`.
     if n.is_multiple_of(NR) {
-        gemm_tn_nest::<false, FMA>(a, b, out_rows, i0, m, k, n)
+        gemm_tn_nest::<false>(a, b, out_rows, i0, m, k, n)
     } else {
-        gemm_tn_nest::<true, FMA>(a, b, out_rows, i0, m, k, n)
+        gemm_tn_nest::<true>(a, b, out_rows, i0, m, k, n)
     }
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_tn_nest<const NARROW: bool, const FMA: bool>(
+fn gemm_tn_nest<const NARROW: bool>(
     a: &[f32],
     b: &[f32],
     out_rows: &mut [f32],
@@ -334,16 +279,16 @@ fn gemm_tn_nest<const NARROW: bool, const FMA: bool>(
                 let iw = MR.min(rows - i);
                 let mut j = jc;
                 while j + NR <= jc + jw {
-                    tile_tn::<NR, FMA>(a, b, out_rows, i0, m, n, i, iw, j, pc, pw);
+                    tile_tn::<NR>(a, b, out_rows, i0, m, n, i, iw, j, pc, pw);
                     j += NR;
                 }
                 if NARROW {
                     while j + 8 <= jc + jw {
-                        tile_tn::<8, FMA>(a, b, out_rows, i0, m, n, i, iw, j, pc, pw);
+                        tile_tn::<8>(a, b, out_rows, i0, m, n, i, iw, j, pc, pw);
                         j += 8;
                     }
                     while j + 4 <= jc + jw {
-                        tile_tn::<4, FMA>(a, b, out_rows, i0, m, n, i, iw, j, pc, pw);
+                        tile_tn::<4>(a, b, out_rows, i0, m, n, i, iw, j, pc, pw);
                         j += 4;
                     }
                 }
@@ -355,7 +300,7 @@ fn gemm_tn_nest<const NARROW: bool, const FMA: bool>(
                             let brow = &b[p * n..(p + 1) * n];
                             let orow = &mut out_rows[r * n..(r + 1) * n];
                             for jj in j..jc + jw {
-                                orow[jj] = madd::<FMA>(orow[jj], av, brow[jj]);
+                                orow[jj] += av * brow[jj];
                             }
                         }
                     }
@@ -373,7 +318,7 @@ fn gemm_tn_nest<const NARROW: bool, const FMA: bool>(
 /// Register-tiled inner block for `gemm_nt_rows` over a packed `k × NR_W`
 /// column panel of `Bᵀ` (`panel[p·NR_W + l] = b[(j+l)·k + p]`).
 #[inline(always)]
-fn micro_nt<const MR_N: usize, const NR_W: usize, const FMA: bool>(
+fn micro_nt<const MR_N: usize, const NR_W: usize>(
     a_rows: &[f32],
     panel: &[f32],
     out_rows: &mut [f32],
@@ -388,7 +333,7 @@ fn micro_nt<const MR_N: usize, const NR_W: usize, const FMA: bool>(
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let a = a_rows[(i + r) * k + p];
             for (acc_l, &bv) in acc_r.iter_mut().zip(brow) {
-                *acc_l = madd::<FMA>(*acc_l, a, bv);
+                *acc_l += a * bv;
             }
         }
     }
@@ -403,7 +348,7 @@ fn micro_nt<const MR_N: usize, const NR_W: usize, const FMA: bool>(
 /// reads; each output element still accumulates `p = 0..k` in order.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn panel_nt<const NR_W: usize, const FMA: bool>(
+fn panel_nt<const NR_W: usize>(
     a_rows: &[f32],
     b: &[f32],
     panel: &mut Vec<f32>,
@@ -423,10 +368,10 @@ fn panel_nt<const NR_W: usize, const FMA: bool>(
     while i < m_local {
         let iw = MR.min(m_local - i);
         match iw {
-            4 => micro_nt::<4, NR_W, FMA>(a_rows, panel, out_rows, k, n, i, j),
-            3 => micro_nt::<3, NR_W, FMA>(a_rows, panel, out_rows, k, n, i, j),
-            2 => micro_nt::<2, NR_W, FMA>(a_rows, panel, out_rows, k, n, i, j),
-            _ => micro_nt::<1, NR_W, FMA>(a_rows, panel, out_rows, k, n, i, j),
+            4 => micro_nt::<4, NR_W>(a_rows, panel, out_rows, k, n, i, j),
+            3 => micro_nt::<3, NR_W>(a_rows, panel, out_rows, k, n, i, j),
+            2 => micro_nt::<2, NR_W>(a_rows, panel, out_rows, k, n, i, j),
+            _ => micro_nt::<1, NR_W>(a_rows, panel, out_rows, k, n, i, j),
         }
         i += iw;
     }
@@ -439,21 +384,6 @@ fn panel_nt<const NR_W: usize, const FMA: bool>(
 /// order untouched.
 #[inline(always)]
 pub(crate) fn gemm_nt_rows(a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
-    if crate::kernels::fma_enabled() {
-        gemm_nt_impl::<true>(a_rows, b, out_rows, k, n)
-    } else {
-        gemm_nt_impl::<false>(a_rows, b, out_rows, k, n)
-    }
-}
-
-#[inline(always)]
-fn gemm_nt_impl<const FMA: bool>(
-    a_rows: &[f32],
-    b: &[f32],
-    out_rows: &mut [f32],
-    k: usize,
-    n: usize,
-) {
     if n == 0 {
         return;
     }
@@ -461,16 +391,16 @@ fn gemm_nt_impl<const FMA: bool>(
         // `out` is pre-zeroed by the caller; an empty dot product stays 0.
         return;
     }
-    // Same wide/narrow monomorphization as `gemm_nn_impl`.
+    // Same wide/narrow monomorphization as `gemm_nn_rows`.
     if n.is_multiple_of(NR) {
-        gemm_nt_nest::<false, FMA>(a_rows, b, out_rows, k, n)
+        gemm_nt_nest::<false>(a_rows, b, out_rows, k, n)
     } else {
-        gemm_nt_nest::<true, FMA>(a_rows, b, out_rows, k, n)
+        gemm_nt_nest::<true>(a_rows, b, out_rows, k, n)
     }
 }
 
 #[inline(always)]
-fn gemm_nt_nest<const NARROW: bool, const FMA: bool>(
+fn gemm_nt_nest<const NARROW: bool>(
     a_rows: &[f32],
     b: &[f32],
     out_rows: &mut [f32],
@@ -481,18 +411,18 @@ fn gemm_nt_nest<const NARROW: bool, const FMA: bool>(
     let mut panel = crate::workspace::take_buffer(k * NR);
     let mut j = 0;
     while j + NR <= n {
-        panel_nt::<NR, FMA>(a_rows, b, &mut panel, out_rows, k, n, m_local, j);
+        panel_nt::<NR>(a_rows, b, &mut panel, out_rows, k, n, m_local, j);
         j += NR;
     }
     // Narrower panels for the column remainder — the dominant case for the
     // attention `scores · V` product, whose output width is the head dim.
     if NARROW {
         while j + 8 <= n {
-            panel_nt::<8, FMA>(a_rows, b, &mut panel, out_rows, k, n, m_local, j);
+            panel_nt::<8>(a_rows, b, &mut panel, out_rows, k, n, m_local, j);
             j += 8;
         }
         while j + 4 <= n {
-            panel_nt::<4, FMA>(a_rows, b, &mut panel, out_rows, k, n, m_local, j);
+            panel_nt::<4>(a_rows, b, &mut panel, out_rows, k, n, m_local, j);
             j += 4;
         }
     }
@@ -503,7 +433,7 @@ fn gemm_nt_nest<const NARROW: bool, const FMA: bool>(
                 let b_row = &b[jj * k..(jj + 1) * k];
                 let mut acc = 0.0f32;
                 for (&av, &bv) in a_row.iter().zip(b_row) {
-                    acc = madd::<FMA>(acc, av, bv);
+                    acc += av * bv;
                 }
                 out_rows[r * n + jj] = acc;
             }

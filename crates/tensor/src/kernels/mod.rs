@@ -17,7 +17,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod body;
-pub mod quant;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -55,18 +54,10 @@ impl Backend {
     pub fn is_supported(self) -> bool {
         match self {
             Backend::Scalar => true,
-            // The wrappers also enable the `fma` target feature (for the
-            // opt-in FMA mode), so activation requires the CPU to report it.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
+            Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => {
-                std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
+            Backend::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2 | Backend::Avx512 => false,
             Backend::Neon => cfg!(target_arch = "aarch64"),
@@ -89,47 +80,9 @@ const BACKEND_UNSET: u8 = u8::MAX;
 /// Process-global active backend (`BACKEND_UNSET` until first use).
 static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
 
-const FMA_UNSET: u8 = u8::MAX;
-const FMA_OFF: u8 = 0;
-const FMA_ON: u8 = 1;
-
-/// Process-global FMA mode (`FMA_UNSET` until first use; initialized from
-/// `AERO_FMA=1`, default off).
-static FMA: AtomicU8 = AtomicU8::new(FMA_UNSET);
-
 /// True when `AERO_FORCE_SCALAR=1` is set in the environment.
 pub fn force_scalar_env() -> bool {
     std::env::var("AERO_FORCE_SCALAR").map(|v| v == "1").unwrap_or(false)
-}
-
-/// True when `AERO_FMA=1` is set in the environment.
-pub fn fma_env() -> bool {
-    std::env::var("AERO_FMA").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Whether the opt-in fused-multiply-add GEMM mode is active.
-///
-/// Default **off**: the bitwise determinism contract (backends, thread
-/// counts, WAL replay) only holds with FMA disabled. Enabling it trades
-/// that contract for a faster, *more* accurate (singly-rounded) inner
-/// step — results then differ from the pinned path by normal rounding
-/// noise, so tests gate it by tolerance rather than equality.
-#[inline]
-pub fn fma_enabled() -> bool {
-    let v = FMA.load(Ordering::Relaxed);
-    if v != FMA_UNSET {
-        return v == FMA_ON;
-    }
-    let init = if fma_env() { FMA_ON } else { FMA_OFF };
-    // Benign race: concurrent first calls compute the same value.
-    FMA.store(init, Ordering::Relaxed);
-    init == FMA_ON
-}
-
-/// Activates or deactivates the FMA GEMM mode process-wide (worker threads
-/// included), overriding the `AERO_FMA` environment default.
-pub fn set_fma(on: bool) {
-    FMA.store(if on { FMA_ON } else { FMA_OFF }, Ordering::Relaxed);
 }
 
 /// The fastest backend the current CPU supports, ignoring overrides.
@@ -199,11 +152,7 @@ macro_rules! dispatch_kernels {
         #[cfg(target_arch = "x86_64")]
         mod avx2_backend {
             $(
-                // `fma` is enabled alongside the lane width so the opt-in
-                // FMA mode can lower `mul_add` to vfmadd; the default path
-                // never executes `mul_add`, and Rust never contracts
-                // `a*b+c` on its own, so the pinned results are unchanged.
-                #[target_feature(enable = "avx2", enable = "fma")]
+                #[target_feature(enable = "avx2")]
                 #[allow(clippy::too_many_arguments)]
                 pub(super) fn $name($($arg: $ty),*) {
                     super::body::$name($($arg),*)
@@ -214,7 +163,7 @@ macro_rules! dispatch_kernels {
         #[cfg(target_arch = "x86_64")]
         mod avx512_backend {
             $(
-                #[target_feature(enable = "avx512f", enable = "fma")]
+                #[target_feature(enable = "avx512f")]
                 #[allow(clippy::too_many_arguments)]
                 pub(super) fn $name($($arg: $ty),*) {
                     super::body::$name($($arg),*)

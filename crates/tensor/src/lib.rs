@@ -60,11 +60,7 @@ pub mod workspace;
 pub use check::{check_gradient, GradCheckReport};
 pub use error::{Result, TensorError};
 pub use graph::{Graph, NodeId};
-pub use kernels::quant::{quant_active, quant_env, quant_opt_in, set_quant, QuantScope};
-pub use kernels::{
-    backend, detected_backend, fma_enabled, fma_env, force_scalar_env, set_backend, set_fma,
-    Backend,
-};
+pub use kernels::{backend, detected_backend, force_scalar_env, set_backend, Backend};
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};
 pub use params::{GradBuffer, Param, ParamId, ParamStore};

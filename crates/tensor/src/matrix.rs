@@ -300,10 +300,6 @@ impl Matrix {
         let mut out = workspace::take_buffer(m * n);
         out.resize(m * n, 0.0);
         if m * k * n > 0 {
-            if kernels::quant::quant_active() {
-                kernels::quant::matmul_nn_i8(&self.data, &other.data, m, k, n, &mut out);
-                return Ok(Self { rows: m, cols: n, data: out });
-            }
             run_gemm(m, k, n, &mut out, |r0, rows, chunk| {
                 kernels::gemm_nn_rows(&self.data[r0 * k..(r0 + rows) * k], &other.data, chunk, k, n);
             })?;
@@ -327,10 +323,6 @@ impl Matrix {
         let mut out = workspace::take_buffer(m * n);
         out.resize(m * n, 0.0);
         if m * k * n > 0 {
-            if kernels::quant::quant_active() {
-                kernels::quant::matmul_tn_i8(&self.data, &other.data, m, k, n, &mut out);
-                return Ok(Self { rows: m, cols: n, data: out });
-            }
             run_gemm(m, k, n, &mut out, |r0, _rows, chunk| {
                 kernels::gemm_tn_rows(&self.data, &other.data, chunk, r0, m, k, n);
             })?;
@@ -356,10 +348,6 @@ impl Matrix {
         let mut out = workspace::take_buffer(m * n);
         out.resize(m * n, 0.0);
         if m * k * n > 0 {
-            if kernels::quant::quant_active() {
-                kernels::quant::matmul_nt_i8(&self.data, &other.data, m, k, n, &mut out);
-                return Ok(Self { rows: m, cols: n, data: out });
-            }
             run_gemm(m, k, n, &mut out, |r0, rows, chunk| {
                 kernels::gemm_nt_rows(&self.data[r0 * k..(r0 + rows) * k], &other.data, chunk, k, n);
             })?;

@@ -36,12 +36,11 @@
 #      uninterrupted night), plus a 4-shard CLI smoke: --migrate-live with a
 #      mid-night simulated crash, then --resume to finish the night, then
 #      `aero wal verify` scrubbing every surviving shard directory
-#  12. batched equivalence: the batched cross-star Stage-1 path is bitwise
-#      identical to the per-star path across star counts, thread counts,
-#      kernel backends, and score-mode mixes; the pipelined push emits a
-#      verdict stream, WAL bytes, and health bitwise identical to
-#      sequential pushes (kill-resume included); plus one governed stream
-#      smoke with batching forced on
+#  12. batched equivalence: the batched cross-star Stage-1 path (the only
+#      production inference path) is bitwise identical to the per-star tape
+#      path that an installed chaos hook selects, across star counts, thread
+#      counts, kernel backends, and score-mode mixes; plus a 2-shard governed
+#      CLI stream smoke
 #  13. resident service: wire-codec adversarial property suite (garbage,
 #      torn frames, flipped bits, hostile lengths — typed errors, bounded
 #      allocation), then real-process end-to-end runs of `aero serve` +
@@ -49,14 +48,12 @@
 #      be bitwise identical to an uninterrupted run, seeded wire faults
 #      across concurrent tenant connections must never poison the detector,
 #      and the status/drain endpoints must answer on the same wire
-#  14. quantization equivalence: the opt-in int8 degraded-rung path stays
-#      within tolerance of f32 on seeded nights and engages only under a
-#      per-thread scope (kernel property suite), the shared-backbone
-#      reassembly is bitwise identical to the monolithic model, and with
-#      quantization off (the default) all-Full scoring stays bitwise
-#      pinned even when the opt-in is armed
+#  14. backbone reassembly: a detector rebuilt from the shared backbone plus
+#      per-star deltas scores bitwise identical to the monolithic model
 #  15. benchmark harness smoke run (keeps scripts/bench.sh wired)
-#  16. clippy -D warnings on the full workspace (the streaming modules
+#  16. repository benchmark smoke test: every aerobench workload runs end to
+#      end at seconds scale and passes its own consistency checks
+#  17. clippy -D warnings on the full workspace (the streaming modules
 #      additionally deny unwrap/expect via their own inner lint attrs)
 set -eu
 
@@ -118,9 +115,9 @@ for shard_dir in "$fleet_tmp"/wal_migrate/shard-*; do
         wal verify "$shard_dir" > /dev/null
 done
 
-echo "==> tier-1: batched equivalence (batched == per-star, pipelined == sequential)"
-cargo test -q -p aero-core --test batched --test pipelined
-AERO_BATCHED=1 cargo run --release -q -p aero-cli --bin aero -- stream \
+echo "==> tier-1: batched equivalence (batched == hook-selected per-star path)"
+cargo test -q -p aero-core --test batched
+cargo run --release -q -p aero-cli --bin aero -- stream \
     --data "$fleet_tmp/data" --shards 2 --burst 17 \
     --wal "$fleet_tmp/wal_batched" > /dev/null
 
@@ -128,12 +125,14 @@ echo "==> tier-1: resident serve (wire codec + kill -9 resume + wire faults)"
 cargo test -q -p aero-core --test wire_codec
 cargo test -q -p aero-cli --test serve
 
-echo "==> tier-1: quantization equivalence (int8 rung tolerance, backbone reassembly bitwise)"
-cargo test -q -p aero-tensor --test quant_equivalence
+echo "==> tier-1: backbone reassembly (bitwise vs monolithic)"
 cargo test -q -p aero-core --test backbone
 
 echo "==> tier-1: benchmark harness smoke"
 sh scripts/bench.sh --smoke > /dev/null
+
+echo "==> tier-1: repository benchmark smoke test (aerobench)"
+cargo test -q --release --offline --manifest-path aerobench/Cargo.toml
 
 echo "==> tier-1: lint gate"
 cargo clippy -q --workspace -- -D warnings
