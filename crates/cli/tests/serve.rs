@@ -26,6 +26,9 @@ fn fixture() -> &'static Path {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("aero_serve_e2e_{}", std::process::id()));
+        // A run that reused this PID may have left WAL segments behind,
+        // which `aero serve --wal` (without `--resume`) refuses.
+        let _ = std::fs::remove_dir_all(&dir);
         let data = dir.join("data");
         std::fs::create_dir_all(&data).unwrap();
         let dataset = SyntheticConfig::tiny(11).build();

@@ -200,7 +200,6 @@ proptest! {
 
     /// Under *any* fault plan, `push` never errors on data faults and
     /// never emits a non-finite score.
-    #[test]
     fn push_scores_stay_finite_under_any_fault_plan(
         seed in 0u64..1_000_000,
         nan_rate in 0.0f64..0.3,
@@ -247,7 +246,6 @@ proptest! {
     /// counted once as accepted, stale, or duplicate (never twice, never
     /// zero times), and every imputed value traces to a non-finite value in
     /// an accepted frame.
-    #[test]
     fn layered_fault_counters_reconcile_exactly(
         seed in 0u64..1_000_000,
         dup_rate in 0.01f64..0.2,

@@ -423,7 +423,6 @@ proptest! {
     /// `(catalog, seed, costs)`: bitwise-identical plans at any thread
     /// count, every star owned exactly once, members ascending, and no
     /// shard left empty.
-    #[test]
     fn routing_and_rebalancing_are_deterministic(
         stars in 2usize..24,
         seed in 0u64..1_000_000,

@@ -411,7 +411,6 @@ proptest! {
     /// Under any burst seed and queue geometry, the bounds and
     /// shed-priority invariants hold end to end and the final drain leaves
     /// no backlog.
-    #[test]
     fn any_burst_schedule_respects_bounds_and_priority(
         seed in 0u64..1_000_000,
         ticks in 24usize..56,

@@ -10,7 +10,6 @@ proptest! {
     /// Any seeded tiny synthetic dataset satisfies every structural
     /// invariant: validation passes, segment count matches the config,
     /// anomalies stay in the test split, and noise respects its variate cap.
-    #[test]
     fn synthetic_invariants(seed in 0u64..10_000) {
         let mut cfg = SyntheticConfig::tiny(seed);
         cfg.noise_variates = 5;
@@ -29,7 +28,6 @@ proptest! {
 
     /// Astroset invariants: monotone timestamps, magnitudes in a plausible
     /// photometric range, full noise coverage across splits.
-    #[test]
     fn astroset_invariants(seed in 0u64..10_000) {
         let ds = AstrosetConfig::tiny(seed).build();
         prop_assert!(ds.validate().is_ok());
@@ -47,7 +45,6 @@ proptest! {
     }
 
     /// Anomaly templates are bounded by their magnitude parameter.
-    #[test]
     fn anomaly_templates_bounded(len in 8usize..80, magnitude in 0.1f32..5.0) {
         for kind in AnomalyKind::ALL {
             for i in 0..len {
@@ -62,7 +59,6 @@ proptest! {
     }
 
     /// Noise profiles are bounded and hit their magnitude somewhere.
-    #[test]
     fn noise_profiles_bounded(len in 4usize..120, magnitude in 0.1f32..3.0) {
         for kind in NoiseKind::ALL {
             let vals: Vec<f32> = (0..len).map(|i| kind.value(i, len, magnitude)).collect();

@@ -25,7 +25,6 @@ proptest! {
 
     /// The fitted parameters always have positive scale and a finite
     /// likelihood at least as good as a mediocre reference fit.
-    #[test]
     fn fit_is_sane_on_gpd_tails(seed in 0u64..500, gamma in -0.4f64..0.6, sigma in 0.2f64..3.0) {
         let peaks = gpd_sample(seed, gamma, sigma, 800);
         let (fit, _) = fit_gpd(&peaks).expect("fit");
@@ -37,7 +36,6 @@ proptest! {
     }
 
     /// POT thresholds are monotone in q: smaller q → larger threshold.
-    #[test]
     fn pot_monotone_in_q(seed in 0u64..500) {
         let mut rng = StdRng::seed_from_u64(seed);
         let scores: Vec<f32> = (0..8000).map(|_| {
@@ -53,7 +51,6 @@ proptest! {
     }
 
     /// POT thresholds scale linearly with the score scale.
-    #[test]
     fn pot_scale_equivariant(seed in 0u64..200, scale in 0.5f32..8.0) {
         let mut rng = StdRng::seed_from_u64(seed);
         let base: Vec<f32> = (0..5000).map(|_| rng.gen_range(0.0f32..1.0).powi(3)).collect();
@@ -66,7 +63,6 @@ proptest! {
     }
 
     /// SPOT never alarms on values below its initial threshold.
-    #[test]
     fn spot_never_alarms_below_initial(seed in 0u64..200) {
         let mut rng = StdRng::seed_from_u64(seed);
         let calib: Vec<f32> = (0..3000).map(|_| rng.gen_range(0.0f32..1.0)).collect();

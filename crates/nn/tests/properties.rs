@@ -19,7 +19,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Attention output has the query's shape and is finite for any input.
-    #[test]
     fn attention_shape_and_finiteness(x in matrix(6, 8), seed in 0u64..100) {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -34,7 +33,6 @@ proptest! {
 
     /// LayerNorm output rows have ~zero mean and ~unit variance with the
     /// default gain/shift, for any non-constant input.
-    #[test]
     fn layer_norm_standardizes(x in matrix(5, 8)) {
         let mut store = ParamStore::new();
         let ln = LayerNorm::new(&mut store, "ln", 8);
@@ -58,7 +56,6 @@ proptest! {
     }
 
     /// GRU and LSTM hidden states stay within tanh bounds for any input.
-    #[test]
     fn recurrent_states_bounded(xs in matrix(7, 3), seed in 0u64..100) {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -73,7 +70,6 @@ proptest! {
     }
 
     /// A Linear layer is, in fact, linear: f(αx) = αf(x) when bias is zero.
-    #[test]
     fn linear_layer_is_linear(x in matrix(3, 4), alpha in -2.0f32..2.0) {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(7);
@@ -92,7 +88,6 @@ proptest! {
 
     /// Time embedding is bounded by √2 (+ small-angle error) and
     /// deterministic in its inputs.
-    #[test]
     fn time_embedding_bounded(len in 2usize..30, scale in 0.1f32..3.0) {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(11);
@@ -109,7 +104,6 @@ proptest! {
 
     /// Adjacency normalization is idempotent on its own output's support:
     /// re-normalizing a normalized matrix keeps rows stochastic-or-zero.
-    #[test]
     fn normalization_row_stochastic(vals in proptest::collection::vec(-1.0f32..1.0, 25)) {
         let adj = Matrix::from_vec(5, 5, vals).unwrap();
         let p = normalize_adjacency(&adj);

@@ -15,7 +15,6 @@ use std::cell::RefCell;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::{Result, TensorError};
-use crate::kernels;
 use crate::matrix::Matrix;
 use crate::params::{GradBuffer, ParamId, ParamStore};
 use crate::workspace;
@@ -102,9 +101,7 @@ enum Op {
     Relu(NodeId),
     Exp(NodeId),
     Ln(NodeId),
-    /// Row-wise softmax.
-    SoftmaxRows(NodeId),
-    /// Row-wise softmax of `alpha * x` (fused attention scaling).
+    /// Row-wise softmax of `alpha * x` (`alpha = 1` for plain softmax).
     ScaledSoftmaxRows { x: NodeId, alpha: f32 },
     /// Row-wise layer normalization with learnable gain/shift.
     LayerNormRows {
@@ -383,31 +380,15 @@ impl Graph {
         Ok(self.push(v, Op::Ln(x), None))
     }
 
-    /// Numerically-stable row-wise softmax.
-    ///
-    /// The per-row max fold, `exp`, and sum stay sequential scalar (their
-    /// accumulation order is part of the determinism contract); only the
-    /// elementwise normalize step goes through the dispatched kernel layer.
+    /// Numerically-stable row-wise softmax: [`Graph::scaled_softmax_rows`]
+    /// with `alpha = 1`, which is exact in the forward (`1·x`) and backward
+    /// (`1·y`) passes. The body is
+    /// [`forward::scaled_softmax_rows`](crate::forward::scaled_softmax_rows),
+    /// one dispatched row kernel whose lane reductions have a fixed fold
+    /// order, so every backend gives the same bits; its non-finite and
+    /// underflow semantics are documented there.
     pub fn softmax_rows(&mut self, x: NodeId) -> Result<NodeId> {
-        let mut out;
-        {
-            let xv = &self.node(x)?.value;
-            let (rows, cols) = xv.shape();
-            out = Matrix::zeros(rows, cols);
-            for r in 0..rows {
-                let row = xv.row(r);
-                let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0f32;
-                let orow = out.row_mut(r);
-                for (o, &v) in orow.iter_mut().zip(row) {
-                    let e = (v - m).exp();
-                    *o = e;
-                    sum += e;
-                }
-                kernels::scale_inplace(orow, 1.0 / sum);
-            }
-        }
-        Ok(self.push(out, Op::SoftmaxRows(x), None))
+        self.scaled_softmax_rows(x, 1.0)
     }
 
     /// Numerically-stable row-wise softmax of `alpha * x`, fused so attention
@@ -697,22 +678,6 @@ impl Graph {
                     let dx = Matrix::from_fn(y.rows(), y.cols(), |r, c| {
                         dy.get(r, c) / xv.get(r, c).max(1e-12)
                     });
-                    acc_grad(before, x, dx)?;
-                }
-                Op::SoftmaxRows(x) => {
-                    // dx = y ⊙ (dy − rowsum(dy ⊙ y))
-                    let x = *x;
-                    let (rows, cols) = y.shape();
-                    let mut dx = Matrix::zeros(rows, cols);
-                    for r in 0..rows {
-                        let yr = y.row(r);
-                        let dyr = dy.row(r);
-                        let dot: f32 = yr.iter().zip(dyr).map(|(a, b)| a * b).sum();
-                        let dxr = dx.row_mut(r);
-                        for c in 0..cols {
-                            dxr[c] = yr[c] * (dyr[c] - dot);
-                        }
-                    }
                     acc_grad(before, x, dx)?;
                 }
                 Op::ScaledSoftmaxRows { x, alpha } => {
@@ -1024,7 +989,7 @@ mod tests {
     }
 
     /// The fused attention ops must match the unfused composition they
-    /// replace: `matmul_nt(q, k) == matmul(q, transpose(k))` and
+    /// replace bit for bit: `matmul_nt(q, k) == matmul(q, transpose(k))` and
     /// `scaled_softmax_rows(x, α) == softmax_rows(affine(x, α, 0))`.
     #[test]
     fn fused_attention_ops_match_unfused_composition() {
@@ -1044,9 +1009,10 @@ mod tests {
         let fv = g.value(fused).unwrap();
         let pv = g.value(plain).unwrap();
         assert_eq!(fv.shape(), (4, 6));
-        for (a, b) in fv.as_slice().iter().zip(pv.as_slice()) {
-            assert!((a - b).abs() < 1e-6, "fused {a} vs unfused {b}");
-        }
+        // Bitwise: both run one softmax body (`1·x` is exact), and
+        // `affine(x, α, 0)`'s `α·x + 0` differs from the kernel's `α·x` at
+        // most in the sign of a zero, which `exp(±0) = 1` erases.
+        assert_eq!(fv, pv);
     }
 
     /// Finite-difference check through `matmul_nt` + `scaled_softmax_rows`

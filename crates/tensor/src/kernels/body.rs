@@ -15,6 +15,12 @@
 //! registers) while the shared dimension streams past. Spilling a partial
 //! accumulator to memory and reloading it between `p`-tiles is exact in
 //! IEEE-754, so cache blocking does not perturb results either.
+//!
+//! The softmax row kernel is the one place that reduces across lanes. Its
+//! max and sum accumulate into a `[f32; 16]` whose lane count and fold
+//! order are constants of this file, not of the backend, and its `exp` is
+//! an in-source polynomial rather than a libm call — so it, too, is the same
+//! IEEE operation sequence on every backend and platform.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -495,11 +501,125 @@ pub(crate) fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
     }
 }
 
-/// `x *= s`, elementwise — the normalize step of a softmax row.
+// ---- softmax row -----------------------------------------------------------
+
+/// Lane count of the softmax row reductions. Fixed in the source, never
+/// derived from the backend's register width, so every backend folds the
+/// same partial maxima and sums in the same order.
+const SOFTMAX_LANES: usize = 16;
+
+/// `ln(2⁻¹²⁶)`: `exp_flush` returns exactly 0 below this, where `exp` would
+/// be subnormal and `2ⁿ` no longer fits a normal exponent field.
+pub(crate) const EXP_FLUSH_BELOW: f32 = -87.336_55;
+
+/// `eˣ` in Cephes style, from IEEE `+ − ×` and bit moves only (no libm, no
+/// FMA), so it is the same function on every platform and backend:
+///
+/// - `n = round(x·log₂e)` by the `1.5·2²³` magic add (round-to-nearest-even);
+/// - `r = x − n·ln2` with `ln2` split in two constants (`n·LN2_HI` is exact);
+/// - `eʳ ≈ 1 + r + r²·P(r)`, `P` with six coefficients in Horner form;
+/// - `2ⁿ` is built in the exponent field with `f32::from_bits`.
+///
+/// Within 2 ulp of `f64::exp(x as f64)` on `[−87, 0]` (the softmax range).
+/// Inputs below [`EXP_FLUSH_BELOW`], `−∞` included, give exactly 0; NaN
+/// gives NaN (the polynomial carries it, and `NaN < c` is false). Only
+/// `x ≤ 0` is used: larger inputs overflow the exponent field.
 #[inline(always)]
-pub(crate) fn scale_inplace(x: &mut [f32], s: f32) {
-    for v in x {
-        *v *= s;
+pub(crate) fn exp_flush(x: f32) -> f32 {
+    const LOG2E: f32 = std::f32::consts::LOG2_E;
+    const ROUND: f32 = 12_582_912.0; // 1.5·2²³
+    const LN2_HI: f32 = 0.693_359_4; // 355/512, exact
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    let t = x * LOG2E + ROUND;
+    let n = t - ROUND;
+    let r = x - n * LN2_HI - n * LN2_LO;
+    let p = (((((1.987_569_1e-4 * r + 1.398_199_9e-3) * r + 8.333_452e-3) * r + 4.166_579_6e-2)
+        * r
+        + 1.666_666_5e-1)
+        * r
+        + 0.5)
+        * (r * r)
+        + r
+        + 1.0;
+    // `t`'s low mantissa bits hold `n` offset by `ROUND`'s bits.
+    let biased = t.to_bits().wrapping_sub(ROUND.to_bits()).wrapping_add(127);
+    let e = p * f32::from_bits(biased << 23);
+    if x < EXP_FLUSH_BELOW {
+        0.0
+    } else {
+        e
+    }
+}
+
+/// Folds the 16 lane partials pairwise in halves (`l` with `l + 8`, then
+/// `l + 4`, …): one fixed order for every backend.
+#[inline(always)]
+fn fold_lanes(mut lanes: [f32; SOFTMAX_LANES], f: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut w = SOFTMAX_LANES / 2;
+    while w > 0 {
+        for l in 0..w {
+            lanes[l] = f(lanes[l], lanes[l + w]);
+        }
+        w /= 2;
+    }
+    lanes[0]
+}
+
+/// `a` if `a > b`, else `b`: never picks a NaN `a`, so a NaN score drops out
+/// of the row max (as with `f32::max`) and propagates through `exp` instead.
+#[inline(always)]
+fn max_keep(a: f32, b: f32) -> f32 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `out = softmax(alpha · x)` for one row (`out.len() == x.len()`).
+///
+/// Three passes: the row max of `alpha·x` and the row sum of
+/// `exp_flush(alpha·x − max)` each accumulate element `i` into lane
+/// `i mod 16` of a `[f32; 16]` (the tail included), then fold the lanes with
+/// [`fold_lanes`]; the last pass multiplies by `1/sum`. Non-finite inputs:
+/// a NaN or `+∞` anywhere makes the whole row NaN, a `−∞` entry gets weight
+/// exactly 0, and an all-`−∞` row is NaN.
+#[inline(always)]
+pub(crate) fn softmax_row(x: &[f32], alpha: f32, out: &mut [f32]) {
+    const L: usize = SOFTMAX_LANES;
+    let out = &mut out[..x.len()];
+
+    let mut maxes = [f32::NEG_INFINITY; L];
+    let mut xs = x.chunks_exact(L);
+    for chunk in &mut xs {
+        for (m, &v) in maxes.iter_mut().zip(chunk) {
+            *m = max_keep(alpha * v, *m);
+        }
+    }
+    for (m, &v) in maxes.iter_mut().zip(xs.remainder()) {
+        *m = max_keep(alpha * v, *m);
+    }
+    let max = fold_lanes(maxes, max_keep);
+
+    let mut sums = [0.0f32; L];
+    let mut xs = x.chunks_exact(L);
+    let mut os = out.chunks_exact_mut(L);
+    for (chunk, ochunk) in (&mut xs).zip(&mut os) {
+        for ((s, o), &v) in sums.iter_mut().zip(ochunk).zip(chunk) {
+            let e = exp_flush(alpha * v - max);
+            *o = e;
+            *s += e;
+        }
+    }
+    for ((s, o), &v) in sums.iter_mut().zip(os.into_remainder()).zip(xs.remainder()) {
+        let e = exp_flush(alpha * v - max);
+        *o = e;
+        *s += e;
+    }
+
+    let inv = 1.0 / fold_lanes(sums, |a, b| a + b);
+    for o in out {
+        *o *= inv;
     }
 }
 

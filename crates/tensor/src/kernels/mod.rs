@@ -9,14 +9,17 @@
 //! `AERO_FORCE_SCALAR=1` or [`set_backend`]).
 //!
 //! Because every backend compiles the *identical* Rust source — no
-//! intrinsics, no FMA contraction, per-output-element accumulation order
-//! fixed — all backends are bitwise identical; dispatch is purely a speed
-//! choice. The only `unsafe` in the crate is the feature-gated call edge in
-//! the generated dispatch functions below.
+//! intrinsics, no libm calls, no FMA contraction, every accumulation order
+//! fixed in the source — all backends are bitwise identical; dispatch is
+//! purely a speed choice. The only `unsafe` in the crate is the
+//! feature-gated call edge in the generated dispatch functions below.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod body;
+
+#[cfg(test)]
+pub(crate) use body::{exp_flush, EXP_FLUSH_BELOW};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -218,8 +221,9 @@ dispatch_kernels! {
     fn add_assign(dst: &mut [f32], src: &[f32]);
     /// `dst += alpha·src`, elementwise.
     fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]);
-    /// `x *= s`, elementwise (softmax normalize step).
-    fn scale_inplace(x: &mut [f32], s: f32);
+    /// `out = softmax(alpha·x)` for one row: in-source `exp`, 16-lane
+    /// max/sum reductions in a fixed fold order.
+    fn softmax_row(x: &[f32], alpha: f32, out: &mut [f32]);
     /// Elementwise phase of one layer-norm row (reductions stay scalar).
     fn layer_norm_row(x_row: &[f32], gamma: &[f32], beta: &[f32], mean: f32, istd: f32, normed_row: &mut [f32], out_row: &mut [f32]);
     /// One Adam update over a parameter's flat buffers.

@@ -86,7 +86,6 @@ fn dims_for(case: usize, seed: &mut u64) -> (usize, usize, usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    #[test]
     fn blocked_gemm_bitwise_matches_naive(case in 0usize..4, seed in 0u64..u64::MAX) {
         let mut s = seed;
         let (m, k, n) = dims_for(case, &mut s);

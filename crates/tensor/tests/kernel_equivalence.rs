@@ -7,11 +7,15 @@
 //! through the kernel layer (all three GEMM variants, the elementwise ops,
 //! softmax / scaled softmax / layer-norm forward+backward, Adam and SGD
 //! updates) under every backend the host supports and compare with `==`.
+//! The softmax row kernel is also driven directly over every row length
+//! `1..=257` (every tail length of its 16 lanes), the attention shapes, and
+//! rows holding `−∞`, `+∞` and NaN, compared bit for bit.
 //!
 //! The active backend and the thread-pool width are process-global, so every
 //! test serializes on [`BACKEND_LOCK`] and restores the detected backend
 //! before releasing it.
 
+use aero_tensor::forward::scaled_softmax_rows;
 use aero_tensor::{detected_backend, set_backend, Adam, Backend, Graph, Matrix, ParamStore, Sgd};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -139,7 +143,6 @@ fn op_suite(m: usize, k: usize, n: usize, seed: u64) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    #[test]
     fn simd_backends_bitwise_match_scalar(case in 0usize..5, seed in 0u64..u64::MAX) {
         let _guard = lock();
         aero_parallel::set_max_threads(1);
@@ -160,6 +163,71 @@ proptest! {
         }
         set_backend(detected_backend());
     }
+}
+
+/// Bit patterns of a matrix, so NaN entries compare equal to themselves.
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Softmax inputs for the backend comparison: one row of every length
+/// `1..=257`, the Stage-1 attention shapes (encoder 100×100, decoder 30×30,
+/// cross 30×100), and rows with `−∞`, `+∞` and NaN at lane and tail
+/// positions.
+fn softmax_inputs() -> Vec<Matrix> {
+    let mut seed = 0x5eed_u64;
+    let mut inputs: Vec<Matrix> = (1..=257).map(|len| fill(1, len, &mut seed)).collect();
+    for (rows, cols) in [(100, 100), (30, 30), (30, 100)] {
+        inputs.push(fill(rows, cols, &mut seed));
+    }
+    // (row length, position of the special value): lane and tail slots.
+    let positions = [
+        (1, 0),
+        (7, 3),
+        (16, 15),
+        (37, 0),
+        (37, 20),
+        (37, 36),
+        (100, 99),
+    ];
+    for special in [f32::NEG_INFINITY, f32::INFINITY, f32::NAN] {
+        for (cols, at) in positions {
+            let mut m = fill(2, cols, &mut seed);
+            m.set(0, at, special);
+            inputs.push(m);
+        }
+    }
+    inputs.push(Matrix::from_fn(3, 21, |_, _| f32::NEG_INFINITY));
+    inputs
+}
+
+/// `softmax_row` is bitwise identical on every backend: its `exp` is
+/// in-source and its lane reductions fold in a fixed order.
+#[test]
+fn softmax_row_backends_bitwise_match_scalar() {
+    let _guard = lock();
+    let inputs = softmax_inputs();
+    let run = |backend: Backend| -> Vec<Vec<u32>> {
+        assert!(set_backend(backend));
+        let mut out = Vec::new();
+        for x in &inputs {
+            out.push(bits(&scaled_softmax_rows(x, 1.0)));
+            out.push(bits(&scaled_softmax_rows(x, 0.37)));
+        }
+        out
+    };
+    let reference = run(Backend::Scalar);
+    for backend in simd_backends() {
+        let got = run(backend);
+        for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
+            let name = backend.name();
+            assert_eq!(
+                r, g,
+                "backend {name} diverges from scalar on softmax case {i}"
+            );
+        }
+    }
+    set_backend(detected_backend());
 }
 
 /// The row-partitioned threaded GEMM path must also be backend-invariant:

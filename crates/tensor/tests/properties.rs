@@ -13,7 +13,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// matmul_tn / matmul_nt agree with the explicit-transpose forms.
-    #[test]
     fn fused_transpose_matmuls_agree(a in matrix(4, 3), b in matrix(4, 5)) {
         let fast = a.matmul_tn(&b).unwrap();
         let slow = a.transpose().matmul(&b).unwrap();
@@ -29,7 +28,6 @@ proptest! {
     }
 
     /// Identity is neutral for matmul.
-    #[test]
     fn identity_neutral(a in matrix(4, 4)) {
         let i = Matrix::eye(4);
         prop_assert_eq!(a.matmul(&i).unwrap(), a.clone());
@@ -37,7 +35,6 @@ proptest! {
     }
 
     /// add/sub are inverse operations.
-    #[test]
     fn add_sub_roundtrip(a in matrix(3, 5), b in matrix(3, 5)) {
         let back = a.add(&b).unwrap().sub(&b).unwrap();
         for (x, y) in back.as_slice().iter().zip(a.as_slice()) {
@@ -46,7 +43,6 @@ proptest! {
     }
 
     /// concat_cols then slice_cols recovers the parts.
-    #[test]
     fn concat_slice_roundtrip(a in matrix(3, 2), b in matrix(3, 4)) {
         let cat = Matrix::concat_cols(&[&a, &b]).unwrap();
         prop_assert_eq!(cat.slice_cols(0, 2).unwrap(), a);
@@ -54,7 +50,6 @@ proptest! {
     }
 
     /// Softmax rows are probability distributions for any input.
-    #[test]
     fn softmax_rows_are_distributions(x in matrix(4, 6)) {
         let mut g = Graph::new();
         let xn = g.constant(x);
@@ -68,7 +63,6 @@ proptest! {
     }
 
     /// Sigmoid stays in (0,1); tanh in (−1,1); both finite.
-    #[test]
     fn activations_bounded(x in matrix(3, 7)) {
         let mut g = Graph::new();
         let xn = g.constant(x);
@@ -80,7 +74,6 @@ proptest! {
 
     /// Backward through a linear chain matches the analytic derivative:
     /// d/dx mean((a·x + b)²) = 2a(ax+b)/n elementwise.
-    #[test]
     fn affine_square_gradient(vals in proptest::collection::vec(-2.0f32..2.0, 6), a in -2.0f32..2.0, b in -1.0f32..1.0) {
         let mut store = ParamStore::new();
         let x = store.register("x", Matrix::from_vec(2, 3, vals.clone()).unwrap());
@@ -99,7 +92,6 @@ proptest! {
     }
 
     /// Gradients accumulate additively over repeated backward passes.
-    #[test]
     fn gradients_accumulate(v in -2.0f32..2.0) {
         let mut store = ParamStore::new();
         let x = store.register("x", Matrix::scalar(v));
@@ -113,7 +105,6 @@ proptest! {
     }
 
     /// exp and ln are inverse on positive inputs.
-    #[test]
     fn exp_ln_roundtrip(vals in proptest::collection::vec(0.1f32..5.0, 6)) {
         let mut g = Graph::new();
         let x = g.constant(Matrix::from_vec(2, 3, vals.clone()).unwrap());

@@ -3,7 +3,10 @@
 #
 # Jobs:
 #   1. release build of the whole workspace
-#   2. full test suite
+#   2. full test suite of every workspace crate, in release. `--workspace`
+#      is required: the root manifest is both a package and a workspace
+#      with no default-members, so a bare `cargo test` runs only the root
+#      package's tests
 #   3. streaming-robustness integration suite (fault injection, degraded
 #      input, crash-safe persistence) — explicitly, so a filtered test run
 #      can't silently skip it
@@ -63,7 +66,7 @@ echo "==> tier-1: release build"
 cargo build --release
 
 echo "==> tier-1: workspace tests"
-cargo test -q
+cargo test -q --release --workspace
 
 echo "==> tier-1: streaming robustness"
 cargo test -q -p aero-core --test fault_injection --test persistence_robustness

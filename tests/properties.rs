@@ -20,7 +20,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Point adjustment never removes predictions and never lowers recall.
-    #[test]
     fn point_adjust_is_monotone(pred in label_grid(3, 40), truth in label_grid(3, 40)) {
         let adjusted = point_adjust(&pred, &truth);
         for r in 0..3 {
@@ -38,7 +37,6 @@ proptest! {
     }
 
     /// Point-adjusted evaluation of the truth against itself is perfect.
-    #[test]
     fn truth_scores_perfectly(truth in label_grid(4, 30)) {
         let m = evaluate_point_adjusted(&truth.clone(), &truth);
         prop_assert_eq!(m.precision, 1.0);
@@ -46,14 +44,12 @@ proptest! {
     }
 
     /// Confusion counts always partition the grid.
-    #[test]
     fn confusion_partitions_grid(pred in label_grid(3, 25), truth in label_grid(3, 25)) {
         let m = confusion(&pred, &truth);
         prop_assert_eq!(m.tp + m.fp + m.fn_ + m.tn, 3 * 25);
     }
 
     /// F1 is between 0 and 1 and harmonic-mean consistent.
-    #[test]
     fn metrics_are_consistent(tp in 0usize..100, fp in 0usize..100, fn_ in 0usize..100) {
         let m = Metrics::from_counts(tp, fp, fn_, 10);
         prop_assert!((0.0..=1.0).contains(&m.precision));
@@ -67,7 +63,6 @@ proptest! {
 
     /// The POT threshold never falls below the initial quantile threshold
     /// and flags at most a bounded fraction of calibration points.
-    #[test]
     fn pot_threshold_is_conservative(
         seed in 0u64..1000,
         scale in 0.1f32..10.0,
@@ -87,7 +82,6 @@ proptest! {
 
     /// Matrix multiplication is associative (within f32 tolerance) and
     /// distributes over addition.
-    #[test]
     fn matmul_algebra(
         a in proptest::collection::vec(-2.0f32..2.0, 6),
         b in proptest::collection::vec(-2.0f32..2.0, 6),
@@ -104,7 +98,6 @@ proptest! {
     }
 
     /// Transpose is an involution and (AB)ᵀ = BᵀAᵀ.
-    #[test]
     fn transpose_laws(
         a in proptest::collection::vec(-3.0f32..3.0, 12),
         b in proptest::collection::vec(-3.0f32..3.0, 8),
@@ -120,7 +113,6 @@ proptest! {
     }
 
     /// Min-max normalization keeps training data in [0, 1] and roundtrips.
-    #[test]
     fn minmax_scaler_properties(values in proptest::collection::vec(-100.0f32..100.0, 20)) {
         let series = MultivariateSeries::regular(Matrix::from_vec(2, 10, values).unwrap());
         let mut scaler = MinMaxScaler::new();
@@ -146,7 +138,6 @@ proptest! {
 
     /// Window adjacency entries are valid cosines; the normalized
     /// propagation matrix is row-stochastic or zero with no self-loops.
-    #[test]
     fn graph_invariants(values in proptest::collection::vec(-5.0f32..5.0, 24)) {
         let e = Matrix::from_vec(4, 6, values).unwrap();
         let adj = window_adjacency(&e);
@@ -167,7 +158,6 @@ proptest! {
     }
 
     /// Segments reconstruct the exact label set.
-    #[test]
     fn segments_roundtrip(grid in label_grid(3, 30)) {
         let mut rebuilt = LabelGrid::new(3, 30);
         for seg in grid.segments() {
