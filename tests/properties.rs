@@ -1,14 +1,21 @@
 //! Property-based tests (proptest) on the core invariants: evaluation
-//! protocol, EVT thresholding, matrix algebra, normalization, and the
-//! window-wise graph.
+//! protocol, EVT thresholding, matrix algebra, normalization, attention
+//! softmax, and the window-wise graph.
 
 use aero_repro::core::window_adjacency;
 use aero_repro::eval::{confusion, evaluate_point_adjusted, point_adjust, Metrics};
 use aero_repro::evt::{apply_threshold, pot_threshold, PotConfig};
 use aero_repro::nn::normalize_adjacency;
-use aero_repro::tensor::Matrix;
+use aero_repro::tensor::forward::scaled_softmax_rows;
+use aero_repro::tensor::{Graph, Matrix};
 use aero_repro::timeseries::{LabelGrid, MinMaxScaler, MultivariateSeries};
 use proptest::prelude::*;
+
+/// A `rows × cols` matrix with entries in `[lo, hi)`.
+fn matrix(rows: usize, cols: usize, lo: f32, hi: f32) -> impl Strategy<Value = Matrix> {
+    proptest::collection::vec(lo..hi, rows * cols)
+        .prop_map(move |v| Matrix::from_vec(rows, cols, v).unwrap())
+}
 
 fn label_grid(rows: usize, cols: usize) -> impl Strategy<Value = LabelGrid> {
     proptest::collection::vec(proptest::bool::ANY, rows * cols).prop_map(move |bits| {
@@ -164,5 +171,133 @@ proptest! {
             rebuilt.mark_range(seg.variate, seg.start, seg.end).unwrap();
         }
         prop_assert_eq!(rebuilt, grid);
+    }
+
+    /// Every finite softmax row is a probability distribution.
+    fn softmax_rows_are_distributions(x in matrix(4, 21, -30.0, 30.0), alpha in 0.05f32..2.0) {
+        let p = scaled_softmax_rows(&x, alpha);
+        prop_assert_eq!(p.shape(), x.shape());
+        for r in 0..4 {
+            prop_assert!(p.row(r).iter().all(|&v| (0.0..=1.0).contains(&v)));
+            let sum: f32 = p.row(r).iter().sum();
+            prop_assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
+        }
+    }
+
+    /// Adding a constant to a row leaves its softmax unchanged.
+    fn softmax_is_shift_invariant(x in matrix(3, 19, -30.0, 30.0), c in -50.0f32..50.0) {
+        let p = scaled_softmax_rows(&x, 1.0);
+        let q = scaled_softmax_rows(&x.map(|v| v + c), 1.0);
+        for (a, b) in p.as_slice().iter().zip(q.as_slice()) {
+            prop_assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        }
+    }
+
+    /// Softmax is order-preserving: equal scores get bitwise-equal weights
+    /// and a clearly larger score gets a strictly larger weight.
+    fn softmax_preserves_score_order(
+        steps in proptest::collection::vec(-40i32..40, 35),
+    ) {
+        let x = Matrix::from_vec(1, 35, steps.iter().map(|&s| s as f32 * 0.5).collect()).unwrap();
+        let p = scaled_softmax_rows(&x, 1.0);
+        for i in 0..35 {
+            for j in 0..35 {
+                let (xi, xj) = (x.get(0, i), x.get(0, j));
+                if xi == xj {
+                    prop_assert_eq!(p.get(0, i).to_bits(), p.get(0, j).to_bits());
+                } else if xi < xj {
+                    prop_assert!(p.get(0, i) < p.get(0, j), "x {xi} < {xj} but p not");
+                }
+            }
+        }
+    }
+
+    /// The fused scale is exactly a pre-multiplication of the input.
+    fn scaled_softmax_is_softmax_of_scaled_input(x in matrix(3, 33, -20.0, 20.0), alpha in 0.05f32..3.0) {
+        let fused = scaled_softmax_rows(&x, alpha);
+        let unfused = scaled_softmax_rows(&x.map(|v| alpha * v), 1.0);
+        for (a, b) in fused.as_slice().iter().zip(unfused.as_slice()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// The in-source exp keeps softmax close to an f64 reference.
+    fn softmax_matches_f64_reference(x in matrix(3, 40, -40.0, 40.0), alpha in 0.1f32..1.5) {
+        let p = scaled_softmax_rows(&x, alpha);
+        for r in 0..3 {
+            let z: Vec<f64> = x.row(r).iter().map(|&v| (alpha * v) as f64).collect();
+            let max = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let e: Vec<f64> = z.iter().map(|&v| (v - max).exp()).collect();
+            let sum: f64 = e.iter().sum();
+            for (c, &ev) in e.iter().enumerate() {
+                let want = ev / sum;
+                let got = p.get(r, c) as f64;
+                prop_assert!((got - want).abs() <= 1e-6 + 1e-5 * want, "({r},{c}): {got} vs {want}");
+            }
+        }
+    }
+
+    /// The autodiff graph's softmax is the tape-free forward body, bit for bit.
+    fn graph_softmax_matches_forward_body(x in matrix(5, 17, -25.0, 25.0), alpha in 0.05f32..2.0) {
+        let mut g = Graph::new();
+        let node = g.constant(x.clone());
+        let plain = g.softmax_rows(node).unwrap();
+        let scaled = g.scaled_softmax_rows(node, alpha).unwrap();
+        prop_assert_eq!(g.value(plain).unwrap(), &scaled_softmax_rows(&x, 1.0));
+        prop_assert_eq!(g.value(scaled).unwrap(), &scaled_softmax_rows(&x, alpha));
+    }
+
+    /// Point adjustment is idempotent.
+    fn point_adjust_is_idempotent(pred in label_grid(3, 40), truth in label_grid(3, 40)) {
+        let once = point_adjust(&pred, &truth);
+        prop_assert_eq!(point_adjust(&once, &truth), once);
+    }
+
+    /// The paper's point-adjusted protocol never scores below plain
+    /// point-wise evaluation.
+    fn point_adjusted_metrics_dominate_pointwise(pred in label_grid(3, 40), truth in label_grid(3, 40)) {
+        let raw = confusion(&pred, &truth);
+        let adjusted = evaluate_point_adjusted(&pred, &truth);
+        prop_assert!(adjusted.precision >= raw.precision - 1e-12);
+        prop_assert!(adjusted.recall >= raw.recall - 1e-12);
+        prop_assert!(adjusted.f1 >= raw.f1 - 1e-12);
+    }
+
+    /// Segments are maximal runs: fully labelled, bounded by an unlabelled
+    /// point or the grid edge, ordered, and disjoint.
+    fn segments_are_maximal_runs(grid in label_grid(3, 30)) {
+        let segs = grid.segments();
+        for (i, s) in segs.iter().enumerate() {
+            prop_assert!(s.start <= s.end && s.end < 30);
+            prop_assert!((s.start..=s.end).all(|t| grid.get(s.variate, t)));
+            prop_assert!(s.start == 0 || !grid.get(s.variate, s.start - 1));
+            prop_assert!(s.end == 29 || !grid.get(s.variate, s.end + 1));
+            if let Some(next) = segs.get(i + 1) {
+                if next.variate == s.variate {
+                    prop_assert!(next.start > s.end + 1);
+                } else {
+                    prop_assert!(next.variate > s.variate);
+                }
+            }
+        }
+    }
+
+    /// Window adjacency is a cosine: rescaling a variate's error row by a
+    /// positive factor leaves every edge unchanged.
+    fn window_adjacency_ignores_positive_row_scale(
+        values in proptest::collection::vec(-5.0f32..5.0, 24),
+        row in 0usize..4,
+        scale in 0.5f32..4.0,
+    ) {
+        let e = Matrix::from_vec(4, 6, values).unwrap();
+        let mut scaled = e.clone();
+        for c in 0..6 {
+            scaled.set(row, c, e.get(row, c) * scale);
+        }
+        let a = window_adjacency(&e);
+        let b = window_adjacency(&scaled);
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            prop_assert!((x - y).abs() < 1e-4, "{x} vs {y}");
+        }
     }
 }
