@@ -460,7 +460,7 @@ fn main() {
         ));
         std::fs::remove_dir_all(&dir).ok();
         if let Some(fsync) = wal {
-            let config = WalConfig { frames_per_segment: 16, fsync, identity: None };
+            let config = WalConfig { frames_per_segment: 16, fsync, identity: Default::default() };
             online.attach_wal(WalWriter::create(&dir, config).unwrap());
         }
         // Shift timestamps forward each rep so every rep's frames are
@@ -659,7 +659,7 @@ fn main() {
             seed: 7,
             epoch_frames,
             wal_root: Some(wal_root.clone()),
-            wal: WalConfig { frames_per_segment: 64, fsync: FsyncPolicy::Never, identity: None },
+            wal: WalConfig { frames_per_segment: 64, fsync: FsyncPolicy::Never, identity: Default::default() },
             migrate_live: true,
             ..FleetConfig::default()
         };

@@ -13,8 +13,9 @@ use aero_core::fleet::{
     FleetConfig, FleetCoordinator, ShardAssignment, ShardFactory, StarCatalog,
 };
 use aero_core::{
-    build_catalog, render_catalog, render_fleet_health, run_detection, Aero, AeroConfig, Detector,
-    FallbackScorer, JsonObject, OverloadPolicy, StarDelta, StreamGovernor, SupervisorPolicy,
+    build_catalog, render_catalog, render_fleet_health, run_detection, to_json, Aero, AeroConfig,
+    Detector, FallbackScorer, FrameTotals, HealthReport, OverloadPolicy, StarDelta,
+    StreamGovernor, SupervisorPolicy, SupervisorStats, WalIdentity, WalVerifyReport,
 };
 use aero_datagen::{AstrosetConfig, FaultInjector, FaultPlan, LoadProfile, SyntheticConfig};
 use aero_eval::{evaluate_point_adjusted, threshold_scores};
@@ -499,10 +500,7 @@ fn stream_summary_json(
     aero_core::stream_summary_json(
         gov.online().health(),
         &gov.online().supervisor().stats(),
-        replayed,
-        offered,
-        flagged_frames,
-        flagged_points,
+        FrameTotals { replayed, offered, flagged_frames, flagged_points },
     )
 }
 
@@ -774,6 +772,42 @@ fn stream_fleet(args: &Args) -> Result<(), String> {
 
 /// Machine-readable fleet summary: routing totals, per-shard states, the
 /// shard-level supervisor, and the aggregate health rollup.
+#[derive(serde::Serialize)]
+struct FleetSummary {
+    frames: FrameTotals,
+    fleet: FleetTotals,
+    shards: Vec<ShardRow>,
+    supervisor: SupervisorStats,
+    aggregate: HealthReport,
+}
+
+/// The `fleet` section of [`FleetSummary`].
+#[derive(serde::Serialize)]
+struct FleetTotals {
+    shards: usize,
+    frames_routed: usize,
+    frames_lost: usize,
+    shard_failures: usize,
+    shard_restarts: usize,
+    shards_down: usize,
+    rebalance_plans: usize,
+    stars_moved: usize,
+    migrations_rolled_back: usize,
+}
+
+/// One entry of [`FleetSummary::shards`].
+#[derive(serde::Serialize)]
+struct ShardRow {
+    shard: usize,
+    state: &'static str,
+    stars: usize,
+    emitted: usize,
+    queue_depth: usize,
+    frames_lost: usize,
+    frames_accepted: usize,
+    star_sheds: usize,
+}
+
 fn fleet_summary_json(
     health: &aero_core::FleetHealth,
     replayed: usize,
@@ -781,46 +815,36 @@ fn fleet_summary_json(
     flagged_frames: usize,
     flagged_points: usize,
 ) -> String {
-    let shards = health.shards.iter().map(|s| {
-        JsonObject::new()
-            .num("shard", s.shard)
-            .str("state", s.state.label())
-            .num("stars", s.stars)
-            .num("emitted", s.emitted)
-            .num("queue_depth", s.queue_depth)
-            .num("frames_lost", s.frames_lost)
-            .num("frames_accepted", s.health.frames_accepted)
-            .num("star_sheds", s.health.overload.star_sheds)
-            .finish()
-    });
-    JsonObject::new()
-        .raw(
-            "frames",
-            &JsonObject::new()
-                .num("replayed", replayed)
-                .num("offered", offered)
-                .num("flagged_frames", flagged_frames)
-                .num("flagged_points", flagged_points)
-                .finish(),
-        )
-        .raw(
-            "fleet",
-            &JsonObject::new()
-                .num("shards", health.shards.len())
-                .num("frames_routed", health.frames_routed)
-                .num("frames_lost", health.frames_lost)
-                .num("shard_failures", health.shard_failures)
-                .num("shard_restarts", health.shard_restarts)
-                .num("shards_down", health.shards_down)
-                .num("rebalance_plans", health.rebalance_plans)
-                .num("stars_moved", health.stars_moved)
-                .num("migrations_rolled_back", health.migrations_rolled_back)
-                .finish(),
-        )
-        .arr("shards", shards)
-        .raw("supervisor", &aero_core::supervisor_json(&health.supervisor))
-        .raw("aggregate", &aero_core::health_json(&health.aggregate))
-        .finish()
+    to_json(&FleetSummary {
+        frames: FrameTotals { replayed, offered, flagged_frames, flagged_points },
+        fleet: FleetTotals {
+            shards: health.shards.len(),
+            frames_routed: health.frames_routed,
+            frames_lost: health.frames_lost,
+            shard_failures: health.shard_failures,
+            shard_restarts: health.shard_restarts,
+            shards_down: health.shards_down,
+            rebalance_plans: health.rebalance_plans,
+            stars_moved: health.stars_moved,
+            migrations_rolled_back: health.migrations_rolled_back,
+        },
+        shards: health
+            .shards
+            .iter()
+            .map(|s| ShardRow {
+                shard: s.shard,
+                state: s.state.label(),
+                stars: s.stars,
+                emitted: s.emitted,
+                queue_depth: s.queue_depth,
+                frames_lost: s.frames_lost,
+                frames_accepted: s.health.frames_accepted,
+                star_sheds: s.health.overload.star_sheds,
+            })
+            .collect(),
+        supervisor: health.supervisor,
+        aggregate: health.aggregate.clone(),
+    })
 }
 
 /// `aero wal <verb>` — offline WAL tooling. `verify <dir>` scrubs one WAL
@@ -837,32 +861,7 @@ pub fn wal(args: &Args) -> Result<(), String> {
             .ok_or("usage: aero wal verify <dir>")?,
     );
     let report = aero_core::wal::verify(dir, None).map_err(io_err)?;
-    let findings = report.findings.iter().map(|f| {
-        JsonObject::new()
-            .num("segment", f.segment as usize)
-            .str("path", &f.path.display().to_string())
-            .num("offset", f.offset as usize)
-            .str("kind", f.kind.label())
-            .str("detail", &f.detail)
-            .finish()
-    });
-    let mut out = JsonObject::new()
-        .str("dir", &dir.display().to_string())
-        .str("status", if report.is_clean() { "clean" } else { "corrupt" })
-        .num("segments", report.segments)
-        .num("frames", report.frames)
-        .num("bytes", report.bytes as usize);
-    if let Some(identity) = report.identity {
-        out = out.raw(
-            "identity",
-            &JsonObject::new()
-                .num("shard_id", identity.shard_id as usize)
-                .num("catalog_hash", identity.catalog_hash as usize)
-                .finish(),
-        );
-    }
-    let rendered = out.arr("findings", findings).finish();
-    println!("{rendered}");
+    println!("{}", wal_verify_json(dir, &report));
     if report.is_clean() {
         Ok(())
     } else {
@@ -872,6 +871,50 @@ pub fn wal(args: &Args) -> Result<(), String> {
             dir.display()
         ))
     }
+}
+
+/// The `aero wal verify` document.
+#[derive(serde::Serialize)]
+struct WalVerifyDoc {
+    dir: String,
+    status: &'static str,
+    segments: usize,
+    frames: usize,
+    bytes: u64,
+    identity: Option<WalIdentity>,
+    findings: Vec<FindingRow>,
+}
+
+/// One entry of [`WalVerifyDoc::findings`].
+#[derive(serde::Serialize)]
+struct FindingRow {
+    segment: u64,
+    path: String,
+    offset: u64,
+    kind: &'static str,
+    detail: String,
+}
+
+fn wal_verify_json(dir: &Path, report: &WalVerifyReport) -> String {
+    to_json(&WalVerifyDoc {
+        dir: dir.display().to_string(),
+        status: if report.is_clean() { "clean" } else { "corrupt" },
+        segments: report.segments,
+        frames: report.frames,
+        bytes: report.bytes,
+        identity: report.identity,
+        findings: report
+            .findings
+            .iter()
+            .map(|f| FindingRow {
+                segment: f.segment,
+                path: f.path.display().to_string(),
+                offset: f.offset,
+                kind: f.kind.label(),
+                detail: f.detail.clone(),
+            })
+            .collect(),
+    })
 }
 
 /// `aero evaluate` — point-adjusted metrics of stored flags vs labels.
@@ -1093,5 +1136,31 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn wal_verify_json_escapes_strings() {
+        let detail = "a\"b\\c\nd\u{1}e";
+        let report = WalVerifyReport {
+            segments: 1,
+            findings: vec![aero_core::WalFinding {
+                segment: 0,
+                path: PathBuf::from("wal-000000.seg"),
+                offset: 32,
+                kind: aero_core::WalFindingKind::TornTail,
+                detail: detail.into(),
+            }],
+            ..WalVerifyReport::default()
+        };
+        let json = wal_verify_json(Path::new("w\"al"), &report);
+        assert_eq!(
+            json,
+            "{\"dir\":\"w\\\"al\",\"status\":\"corrupt\",\"segments\":1,\"frames\":0,\
+             \"bytes\":0,\"identity\":null,\"findings\":[{\"segment\":0,\
+             \"path\":\"wal-000000.seg\",\"offset\":32,\"kind\":\"torn_tail\",\
+             \"detail\":\"a\\\"b\\\\c\\nd\\u0001e\"}]}"
+        );
+        // JSON has no non-finite numbers: they render as null.
+        assert_eq!(to_json(&vec![f64::NAN, f64::INFINITY, 1.5]), "[null,null,1.5]");
     }
 }

@@ -25,7 +25,7 @@ use aero_core::serve::codec::{encode, Decoder, WireFrame, WireMsg, WIRE_PROTOCOL
 use aero_core::serve::{serve, ServeConfig, ServeCore, ServeOptions};
 use aero_core::wal::{FsyncPolicy, WalConfig, WalWriter};
 use aero_core::{
-    FallbackScorer, JsonObject, OverloadPolicy, RejectReason, StreamGovernor, TenantQuota,
+    to_json, FallbackScorer, OverloadPolicy, RejectReason, StreamGovernor, TenantQuota,
 };
 use aero_datagen::{LoadProfile, WireFaultPlan};
 use aero_timeseries::io::read_series;
@@ -199,9 +199,11 @@ impl WireClient {
     }
 }
 
-/// Counters one loadgen connection accumulates.
-#[derive(Debug, Default, Clone)]
+/// Counters one loadgen connection accumulates; summed over connections,
+/// the loadgen stats document.
+#[derive(Debug, Default, Clone, serde::Serialize)]
 struct LoadStats {
+    connections: usize,
     offered: usize,
     admitted: usize,
     rejected_backpressure: usize,
@@ -214,6 +216,7 @@ struct LoadStats {
 
 impl LoadStats {
     fn absorb(&mut self, other: &LoadStats) {
+        self.connections += other.connections;
         self.offered += other.offered;
         self.admitted += other.admitted;
         self.rejected_backpressure += other.rejected_backpressure;
@@ -222,20 +225,6 @@ impl LoadStats {
         self.faults += other.faults;
         self.reconnects += other.reconnects;
         self.lost_to_faults += other.lost_to_faults;
-    }
-
-    fn json(&self, connections: usize) -> String {
-        JsonObject::new()
-            .num("connections", connections)
-            .num("offered", self.offered)
-            .num("admitted", self.admitted)
-            .num("rejected_backpressure", self.rejected_backpressure)
-            .num("rejected_quota", self.rejected_quota)
-            .num("rejected_draining", self.rejected_draining)
-            .num("faults", self.faults)
-            .num("reconnects", self.reconnects)
-            .num("lost_to_faults", self.lost_to_faults)
-            .finish()
     }
 }
 
@@ -248,14 +237,11 @@ fn fetch_status(addr: &str) -> Result<String, String> {
     }
 }
 
-/// Pulls `"key":<number>` out of a status document (the status JSON is flat
-/// for the fields loadgen needs; no full parser required).
-fn json_usize(json: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = &json[at..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The status-document fields a resuming loadgen needs.
+#[derive(serde::Deserialize)]
+struct StatusFrames {
+    replayed: usize,
+    offered: usize,
 }
 
 /// `aero loadgen` — deterministic burst traffic against a running server.
@@ -318,10 +304,9 @@ pub fn loadgen(args: &Args) -> Result<(), String> {
     // the client never re-offers them.
     let mut to_skip = 0usize;
     if args.flag("resume-from-status") {
-        let status = fetch_status(&addr)?;
-        let replayed = json_usize(&status, "replayed").unwrap_or(0);
-        let offered = json_usize(&status, "offered").unwrap_or(0);
-        to_skip = replayed + offered;
+        let status: StatusFrames = serde_json::from_str(&fetch_status(&addr)?)
+            .map_err(|e| format!("status document: {e}"))?;
+        to_skip = status.replayed + status.offered;
         eprintln!("resuming: server already holds {to_skip} frames; skipping them");
     }
 
@@ -387,7 +372,7 @@ pub fn loadgen(args: &Args) -> Result<(), String> {
             other => return Err(format!("expected DrainAck, got {other:?}")),
         }
     }
-    println!("{}", total.json(conns));
+    println!("{}", to_json(&total));
     Ok(())
 }
 
@@ -399,7 +384,7 @@ fn run_connection(
     slice: &[(u64, Vec<WireFrame>)],
     plan: &WireFaultPlan,
 ) -> Result<LoadStats, String> {
-    let mut stats = LoadStats::default();
+    let mut stats = LoadStats { connections: 1, ..LoadStats::default() };
     if slice.is_empty() {
         return Ok(stats);
     }

@@ -100,7 +100,6 @@ pub struct AeroConfig {
     /// backbone (`0` = no adapters; the classic monolithic model). Each star
     /// then owns only `2·r·ω + O(1)` scalars — the "delta" that v3
     /// checkpoints and mid-night migration move instead of a model.
-    /// `#[serde(default)]` keeps v2 checkpoints loadable.
     #[serde(default)]
     pub adapter_rank: usize,
     /// Online SGD learning rate for the adapter heads.

@@ -663,7 +663,7 @@ impl FleetCoordinator {
         if let Some(root) = fleet.config.wal_root.clone() {
             if fleet.config.epoch_frames > 0 {
                 let cfg = WalConfig {
-                    identity: Some(plan_log_identity(&fleet.catalog)),
+                    identity: plan_log_identity(&fleet.catalog),
                     ..fleet.config.wal
                 };
                 fleet.plan_log = Some(WalWriter::create(&plan_wal_dir(&root), cfg)?);
@@ -702,7 +702,7 @@ impl FleetCoordinator {
         let num_shards = fleet.assignment.num_shards();
         if fleet.config.epoch_frames > 0 {
             let cfg = WalConfig {
-                identity: Some(plan_log_identity(&fleet.catalog)),
+                identity: plan_log_identity(&fleet.catalog),
                 ..fleet.config.wal
             };
             let (log, frames, _recovery) = WalWriter::resume(&plan_wal_dir(&root), cfg)?;
@@ -712,7 +712,7 @@ impl FleetCoordinator {
                     &fleet.catalog,
                     num_shards,
                     shard_of,
-                    u64::from(frame.meta.unwrap_or(0)),
+                    u64::from(frame.meta),
                 )?;
                 fleet.plans.push(RebalancePlan {
                     epoch: plan.epoch(),
@@ -845,7 +845,7 @@ impl FleetCoordinator {
                     None => migrate::write_commit_marker(&dir, epoch, identity, &members_u32)?,
                 }
                 let wal_config = WalConfig {
-                    identity: Some(identity),
+                    identity,
                     ..fleet.config.wal
                 };
                 let (verdicts, recovery) = gov.resume_wal_into(&dir, wal_config)?;
@@ -925,11 +925,11 @@ impl FleetCoordinator {
 
     fn shard_wal_config(&self, shard: usize) -> WalConfig {
         WalConfig {
-            identity: Some(self.assignment.shard_identity_at(
+            identity: self.assignment.shard_identity_at(
                 &self.catalog,
                 shard,
                 self.shard_epochs[shard],
-            )),
+            ),
             ..self.config.wal
         }
     }
@@ -1274,7 +1274,7 @@ impl FleetCoordinator {
                     })?;
                 }
                 let wal_config = WalConfig {
-                    identity: Some(planned.shard_identity_at(&self.catalog, k, epoch)),
+                    identity: planned.shard_identity_at(&self.catalog, k, epoch),
                     ..self.config.wal
                 };
                 let wal = WalWriter::create(&dir, wal_config)?;

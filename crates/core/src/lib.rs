@@ -70,8 +70,8 @@ pub use overload::{
 };
 pub use persist::{load_model, save_model};
 pub use report::{
-    build_catalog, health_json, json_escape, overload_json, render_catalog, render_fleet_health,
-    stream_summary_json, supervisor_json, tenants_json, EventCandidate, JsonObject,
+    build_catalog, health_json, render_catalog, render_fleet_health, stream_summary_json,
+    to_json, EventCandidate, FrameTotals,
 };
 pub use serve::{ServeConfig, ServeCore, ServeOptions, ServeReport, ServeState};
 pub use supervisor::{

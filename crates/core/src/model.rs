@@ -1150,20 +1150,9 @@ impl Aero {
         &self.store
     }
 
-    /// Mutable access to the parameter store (used by persistence).
-    pub(crate) fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
     /// The fitted scaler (used by persistence).
     pub(crate) fn scaler(&self) -> &MinMaxScaler {
         &self.scaler
-    }
-
-    /// Restores trained state (used by persistence).
-    pub(crate) fn restore(&mut self, scaler: MinMaxScaler) {
-        self.scaler = scaler;
-        self.trained = true;
     }
 
     /// The per-star adapter heads (`None` when `adapter_rank == 0`).

@@ -160,7 +160,7 @@ impl Default for DegradePolicy {
 /// Degradation counters exposed to operators. All counters are cumulative
 /// over the stream except the `stars_*` gauges, which reflect the newest
 /// frame.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct HealthReport {
     /// Frames accepted into the window (scored or warmup).
     pub frames_accepted: usize,

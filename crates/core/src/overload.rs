@@ -204,7 +204,7 @@ impl TenantQuota {
 
 /// One tenant's admission ledger: the per-tenant slice of the overload
 /// accounting, embedded in [`crate::online::HealthReport::tenants`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct TenantCounters {
     /// Wire tenant id (0..32767).
     pub tenant: u32,
@@ -232,6 +232,13 @@ impl TenantCounters {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantRollup {
     lanes: Vec<TenantCounters>,
+}
+
+/// Serializes as the bare array of lanes (ascending tenant id).
+impl serde::Serialize for TenantRollup {
+    fn to_value(&self) -> serde::Value {
+        serde::Serialize::to_value(&self.lanes)
+    }
 }
 
 impl TenantRollup {
@@ -343,6 +350,16 @@ impl OverloadPolicy {
         }
         if let Some(quota) = &self.tenant_quota {
             quota.validate()?;
+            // Serviced polls between two offers never exceed the queue
+            // capacity; above the meta word's 16-bit polls field a resume
+            // would replay fewer polls than the live run made.
+            if self.queue_capacity > MAX_TENANT_POLLS as usize {
+                return Err(format!(
+                    "queue_capacity {} exceeds {MAX_TENANT_POLLS}, the most polls a tenant \
+                     offer's WAL meta word can record",
+                    self.queue_capacity
+                ));
+            }
         }
         Ok(())
     }
@@ -351,7 +368,7 @@ impl OverloadPolicy {
 /// Overload accounting embedded in [`crate::online::HealthReport`].
 /// `queue_depth`, `queue_peak`, `stars_below_full`, and `frames_behind` are
 /// gauges (newest state); everything else is cumulative.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct OverloadCounters {
     /// Current admission-queue depth.
     pub queue_depth: usize,
@@ -478,21 +495,25 @@ struct QueuedFrame {
 /// Highest tenant id representable in the packed WAL meta word (15 bits).
 pub const MAX_TENANT_ID: u32 = (1 << 15) - 1;
 
+/// Highest polls-since-previous-offer count a tenant offer's WAL meta word
+/// holds (16 bits). [`OverloadPolicy::validate`] caps the queue capacity of
+/// tenanted policies here, so the count never saturates.
+const MAX_TENANT_POLLS: u32 = 0xFFFF;
+
 /// Tenant ids ride in the governor's WAL meta word so quota state replays
 /// bitwise: bit 31 flags the packed layout, bits 16..31 hold `tenant id + 0`
-/// (15 bits), bits 0..16 the polls-since-previous-offer count (saturated).
-/// Untenanted offers keep the legacy bare-polls word, so pre-tenant WALs
-/// replay unchanged.
+/// (15 bits), bits 0..16 the polls-since-previous-offer count. Untenanted
+/// offers write the bare polls count.
 const TENANT_META_FLAG: u32 = 1 << 31;
 
 fn pack_meta(tenant: u32, polls: u32) -> u32 {
-    TENANT_META_FLAG | (tenant << 16) | polls.min(0xFFFF)
+    TENANT_META_FLAG | (tenant << 16) | polls.min(MAX_TENANT_POLLS)
 }
 
 /// Splits a WAL meta word into (tenant, polls-since-offer).
 fn unpack_meta(meta: u32) -> (Option<u32>, u32) {
     if meta & TENANT_META_FLAG != 0 {
-        (Some((meta >> 16) & MAX_TENANT_ID), meta & 0xFFFF)
+        (Some((meta >> 16) & MAX_TENANT_ID), meta & MAX_TENANT_POLLS)
     } else {
         (None, meta)
     }
@@ -992,9 +1013,7 @@ impl StreamGovernor {
     /// interleaving through a freshly rebuilt `online` (same model, same
     /// calibration), reproducing queue, ladder, suspect set, and every
     /// counter bitwise. Returns the replayed verdicts so the caller can
-    /// deduplicate against already-emitted output. Legacy records without
-    /// interleaving metadata are replayed conservatively (drain fully, then
-    /// offer), which reproduces an ungoverned `push` stream.
+    /// deduplicate against already-emitted output.
     pub fn resume_wal(
         online: OnlineAero,
         policy: OverloadPolicy,
@@ -1017,28 +1036,18 @@ impl StreamGovernor {
 
     /// Replays recovered WAL frames through this governor, reproducing the
     /// recorded offer/poll interleaving (see [`resume_wal`](Self::resume_wal)
-    /// for the semantics of the meta word and of legacy meta-less records).
+    /// for the semantics of the meta word).
     fn replay_frames(&mut self, frames: Vec<crate::wal::WalFrame>) -> DetectorResult<Vec<GovernedVerdict>> {
         let mut verdicts = Vec::new();
         for frame in frames {
-            match frame.meta {
-                Some(meta) => {
-                    let (tenant, polls) = unpack_meta(meta);
-                    for _ in 0..polls {
-                        if let Some(v) = self.poll()? {
-                            verdicts.push(v);
-                        }
-                    }
-                    self.admit(tenant, frame.timestamp, &frame.values);
-                    self.polls_since_offer = 0;
-                }
-                None => {
-                    verdicts.extend(self.drain()?);
-                    self.admit(None, frame.timestamp, &frame.values);
-                    self.polls_since_offer = 0;
-                    verdicts.extend(self.drain()?);
+            let (tenant, polls) = unpack_meta(frame.meta);
+            for _ in 0..polls {
+                if let Some(v) = self.poll()? {
+                    verdicts.push(v);
                 }
             }
+            self.admit(tenant, frame.timestamp, &frame.values);
+            self.polls_since_offer = 0;
         }
         Ok(verdicts)
     }
@@ -1245,7 +1254,7 @@ mod tests {
         // Poll counts saturate at the 16-bit field instead of corrupting
         // the tenant bits.
         assert_eq!(unpack_meta(pack_meta(3, 1 << 20)), (Some(3), 0xFFFF));
-        // Legacy bare-polls words stay untenanted.
+        // Bare polls words (untenanted offers) stay untenanted.
         assert_eq!(unpack_meta(42), (None, 42));
         assert_eq!(unpack_meta(0), (None, 0));
     }
@@ -1291,6 +1300,25 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = OverloadPolicy { up_streak: 0, ..OverloadPolicy::default() };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn policy_validation_rejects_tenant_queue_beyond_meta_polls() {
+        let tenanted = |queue_capacity: usize| OverloadPolicy {
+            queue_capacity,
+            high_watermark: queue_capacity / 2,
+            low_watermark: queue_capacity / 8,
+            tenant_quota: Some(TenantQuota::default()),
+            ..OverloadPolicy::default()
+        };
+        let at_limit = MAX_TENANT_POLLS as usize;
+        assert!(tenanted(at_limit).validate().is_ok());
+        let err = tenanted(at_limit + 1).validate().unwrap_err();
+        assert!(err.contains("65536") && err.contains("65535"), "{err}");
+        // Untenanted offers log the full 32-bit polls count: no cap.
+        assert!(OverloadPolicy { tenant_quota: None, ..tenanted(at_limit + 1) }
+            .validate()
+            .is_ok());
     }
 
     #[test]

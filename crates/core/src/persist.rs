@@ -10,8 +10,9 @@
 //! Loading rebuilds the module structure deterministically (same config
 //! seed ⇒ same parameter registration order) and reassembles the detector
 //! via [`Aero::from_backbone`], verifying names, shapes, delta
-//! well-formedness, and the checksum. v2 files (monolithic, pre-adapter)
-//! remain loadable; v1 files predate any deployed release and are rejected.
+//! well-formedness, and the checksum. v3 is the only version read: older
+//! files (v1 without a checksum, v2 monolithic) are rejected with a typed
+//! [`DetectorError::Corrupt`] that names the version and the remedy.
 //!
 //! # Crash safety
 //!
@@ -34,8 +35,6 @@
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
-
-use aero_timeseries::MinMaxScaler;
 
 use crate::adapter::StarAdapter;
 use crate::config::AeroConfig;
@@ -81,27 +80,12 @@ struct SavedAdapter {
     updates: u64,
 }
 
-/// The monolithic v2 layout: full scaler vectors at top level, no deltas.
-/// Still read (v2 files in the field keep loading); never written.
-#[derive(Debug, serde::Deserialize)]
-struct SavedAeroV2 {
-    config: AeroConfig,
-    num_variates: usize,
-    scaler_mins: Vec<f32>,
-    scaler_ranges: Vec<f32>,
-    params: Vec<(String, usize, usize, Vec<f32>)>,
-    checksum: u64,
-}
-
-/// Version 2 added the integrity checksum (monolithic layout); version 3
-/// split the file into backbone-once + per-star deltas. Version-1 files
-/// (no checksum) predate any deployed release and are rejected.
+/// Version 3 stores the backbone once plus per-star deltas. Version 2 (a
+/// monolithic layout) and version 1 (no checksum) are no longer read.
 const FORMAT_VERSION: u32 = 3;
-/// The newest *legacy* version still accepted by [`load_model`].
-const LEGACY_VERSION: u32 = 2;
 
 /// Incremental FNV-1a 64-bit hasher — the integrity scheme shared by the
-/// checkpoint format (v2) and the write-ahead log (`crate::wal`).
+/// checkpoint format and the write-ahead log (`crate::wal`).
 #[derive(Debug, Clone)]
 pub(crate) struct Fnv64(u64);
 
@@ -125,18 +109,6 @@ impl Fnv64 {
     }
 }
 
-/// Hashes the trunk parameters into `h` (shared by both format versions).
-fn hash_params(h: &mut Fnv64, params: &[(String, usize, usize, Vec<f32>)]) {
-    for (name, rows, cols, values) in params {
-        h.write(name.as_bytes());
-        h.write(&(*rows as u64).to_le_bytes());
-        h.write(&(*cols as u64).to_le_bytes());
-        for &v in values {
-            h.write(&v.to_bits().to_le_bytes());
-        }
-    }
-}
-
 /// FNV-1a 64-bit over the v3 bit-exact payload: variate count, every trunk
 /// parameter's name/shape/values, and every star delta. Catches bit flips
 /// and silent truncation that still happen to parse as JSON.
@@ -147,7 +119,14 @@ fn payload_checksum(
 ) -> u64 {
     let mut h = Fnv64::new();
     h.write(&(num_variates as u64).to_le_bytes());
-    hash_params(&mut h, params);
+    for (name, rows, cols, values) in params {
+        h.write(name.as_bytes());
+        h.write(&(*rows as u64).to_le_bytes());
+        h.write(&(*cols as u64).to_le_bytes());
+        for &v in values {
+            h.write(&v.to_bits().to_le_bytes());
+        }
+    }
     for d in deltas {
         h.write(&d.scaler_min.to_bits().to_le_bytes());
         h.write(&d.scaler_range.to_bits().to_le_bytes());
@@ -167,22 +146,6 @@ fn payload_checksum(
             }
         }
     }
-    h.finish()
-}
-
-/// The v2 (monolithic) checksum: variate count, scaler vectors, parameters.
-fn payload_checksum_v2(
-    num_variates: usize,
-    mins: &[f32],
-    ranges: &[f32],
-    params: &[(String, usize, usize, Vec<f32>)],
-) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(&(num_variates as u64).to_le_bytes());
-    for &v in mins.iter().chain(ranges) {
-        h.write(&v.to_bits().to_le_bytes());
-    }
-    hash_params(&mut h, params);
     h.finish()
 }
 
@@ -286,17 +249,16 @@ pub fn load_model(path: &Path) -> DetectorResult<Aero> {
         .map_err(|e| DetectorError::Corrupt(format!("parse: {e}")))?;
     match probe.version {
         FORMAT_VERSION => load_v3(json, path),
-        LEGACY_VERSION => load_v2(json),
         other => {
-            let hint = if other < LEGACY_VERSION {
-                "re-train and save with this build, or migrate the file by loading \
-                 it with the release that wrote it and re-saving"
+            let hint = if other < FORMAT_VERSION {
+                "re-train and save with this build, or convert the file: migrate it by \
+                 loading it with an earlier release that reads this version and re-saving"
             } else {
                 "this file was written by a newer release — upgrade this build to load it"
             };
             Err(DetectorError::Corrupt(format!(
-                "{} is model format version {other}, but this build reads versions \
-                 {LEGACY_VERSION} (monolithic) and {FORMAT_VERSION} (backbone+deltas): {hint}",
+                "{} is model format version {other}, but this build reads only version \
+                 {FORMAT_VERSION} (backbone+deltas): {hint}",
                 path.display(),
             )))
         }
@@ -357,63 +319,12 @@ fn load_v3(json: &str, path: &Path) -> DetectorResult<Aero> {
 }
 
 /// A star's delta failed structural validation: a typed [`Corrupt`]
-/// (`DetectorError::Corrupt`) naming both format versions, so the operator
-/// knows the v3 file is damaged while their v2 checkpoints stay loadable.
+/// (`DetectorError::Corrupt`) naming the star and the file's format version.
 fn corrupt_delta(star: usize, cause: &DetectorError) -> DetectorError {
     DetectorError::Corrupt(format!(
         "star {star}'s adapter delta rejected while loading a version {FORMAT_VERSION} \
-         checkpoint (version {LEGACY_VERSION} monolithic files carry no deltas and remain \
-         loadable): {cause}"
+         checkpoint: {cause}"
     ))
-}
-
-/// Loads a legacy v2 (monolithic) checkpoint.
-fn load_v2(json: &str) -> DetectorResult<Aero> {
-    let saved: SavedAeroV2 = serde_json::from_str(json)
-        .map_err(|e| DetectorError::Corrupt(format!("parse: {e}")))?;
-    let expect = payload_checksum_v2(
-        saved.num_variates,
-        &saved.scaler_mins,
-        &saved.scaler_ranges,
-        &saved.params,
-    );
-    if expect != saved.checksum {
-        return Err(DetectorError::Corrupt(format!(
-            "checksum mismatch: file claims {:#018x}, payload hashes to {expect:#018x}",
-            saved.checksum
-        )));
-    }
-
-    let mut model = Aero::new(saved.config)?;
-    model.build_modules(saved.num_variates)?;
-
-    // Overwrite the deterministic initialization with the saved values.
-    let store = model.store_mut();
-    if store.len() != saved.params.len() {
-        return Err(DetectorError::Corrupt(format!(
-            "parameter count mismatch: store has {}, file has {}",
-            store.len(),
-            saved.params.len()
-        )));
-    }
-    let ids: Vec<_> = store.iter().map(|(id, _)| id).collect();
-    for (id, (name, rows, cols, values)) in ids.into_iter().zip(saved.params) {
-        let current = store.get(id)?;
-        if current.name() != name {
-            return Err(DetectorError::Corrupt(format!(
-                "parameter order mismatch: expected {}, file has {name}",
-                current.name()
-            )));
-        }
-        let m = aero_tensor::Matrix::from_vec(rows, cols, values)
-            .map_err(|e| DetectorError::Corrupt(format!("parameter {name}: {e}")))?;
-        store.set_value(id, m)?;
-    }
-
-    let scaler = MinMaxScaler::from_parts(saved.scaler_mins, saved.scaler_ranges)
-        .map_err(|e| DetectorError::Corrupt(format!("scaler: {e}")))?;
-    model.restore(scaler);
-    Ok(model)
 }
 
 #[cfg(test)]
@@ -478,73 +389,27 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The v2 writer, as the previous release shipped it (kept here so the
-    /// legacy load path is tested against real v2 bytes, not a fixture that
-    /// could drift).
-    #[derive(serde::Serialize)]
-    struct SavedAeroV2Out {
-        version: u32,
-        config: AeroConfig,
-        num_variates: usize,
-        scaler_mins: Vec<f32>,
-        scaler_ranges: Vec<f32>,
-        params: Vec<(String, usize, usize, Vec<f32>)>,
-        checksum: u64,
-    }
-
-    fn write_v2(model: &Aero, path: &std::path::Path) {
-        let params: Vec<(String, usize, usize, Vec<f32>)> = model
-            .store()
-            .iter()
-            .map(|(_, p)| {
-                let v = p.value();
-                (p.name().to_string(), v.rows(), v.cols(), v.as_slice().to_vec())
-            })
-            .collect();
-        let num_variates = model.scaler().mins().len();
-        let checksum = payload_checksum_v2(
-            num_variates,
-            model.scaler().mins(),
-            model.scaler().ranges(),
-            &params,
-        );
-        let saved = SavedAeroV2Out {
-            version: LEGACY_VERSION,
-            config: model.config().clone(),
-            num_variates,
-            scaler_mins: model.scaler().mins().to_vec(),
-            scaler_ranges: model.scaler().ranges().to_vec(),
-            params,
-            checksum,
-        };
-        std::fs::write(path, serde_json::to_string(&saved).unwrap()).unwrap();
-    }
-
     #[test]
-    fn v2_monolithic_file_still_loads() {
-        // The v2→v3 migration path: a file written by the previous release
-        // (monolithic layout, no `deltas`, no adapter config fields) must
-        // load into this build and score bitwise identically — and saving
-        // it back produces a v3 file.
-        let (mut model, ds) = trained_model();
-        let original = model.score(&ds.test).unwrap();
-
-        let v2_path = tmp("legacy_v2.json");
-        write_v2(&model, &v2_path);
-        let mut loaded = load_model(&v2_path).unwrap();
-        assert!(loaded.is_trained());
-        assert_eq!(loaded.config().adapter_rank, 0, "v2 files predate adapters");
-        let restored = loaded.score(&ds.test).unwrap();
-        assert_eq!(original, restored, "v2 file must load bitwise");
-
-        let v3_path = tmp("migrated_v3.json");
-        save_model(&loaded, &v3_path).unwrap();
-        let rewritten = std::fs::read_to_string(&v3_path).unwrap();
-        assert!(rewritten.contains("\"version\":3"), "re-saved file must be v3");
-        let mut migrated = load_model(&v3_path).unwrap();
-        assert_eq!(original, migrated.score(&ds.test).unwrap());
-        std::fs::remove_file(&v2_path).ok();
-        std::fs::remove_file(&v3_path).ok();
+    fn v2_monolithic_file_rejected_with_conversion_hint() {
+        // The monolithic v2 layout is no longer read: the version gate must
+        // fire before any payload validation and name the file's version,
+        // the version this build reads, and the remedy.
+        let path = tmp("v2.json");
+        std::fs::write(
+            &path,
+            r#"{"version":2,"config":{},"num_variates":0,"scaler_mins":[],"scaler_ranges":[],"params":[],"checksum":0}"#,
+        )
+        .unwrap();
+        match load_model(&path) {
+            Err(DetectorError::Corrupt(msg)) => {
+                assert!(msg.contains("version 2"), "names the file's version: {msg}");
+                assert!(msg.contains("only version 3"), "names the version read: {msg}");
+                assert!(msg.contains("re-train"), "offers re-train: {msg}");
+                assert!(msg.contains("convert"), "offers conversion: {msg}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -553,8 +418,7 @@ mod tests {
         // structurally broken (truncated adapter weights — NaN can't be used
         // here because JSON renders it as null, which fails at parse before
         // the delta validator runs) must be rejected by the delta validator
-        // with a typed Corrupt error that names both the v3 format and the
-        // still-loadable v2 format.
+        // with a typed Corrupt error that names the v3 format.
         let ds = SyntheticConfig::tiny(500).build();
         let mut cfg = AeroConfig::tiny();
         cfg.max_epochs = 2;
@@ -602,7 +466,6 @@ mod tests {
             Err(DetectorError::Corrupt(msg)) => {
                 assert!(msg.contains("star 0"), "names the damaged star: {msg}");
                 assert!(msg.contains("version 3"), "names the file's format: {msg}");
-                assert!(msg.contains("version 2"), "names the legacy format: {msg}");
                 assert!(msg.contains("shape mismatch"), "names the cause: {msg}");
             }
             other => panic!("expected Corrupt, got {other:?}"),

@@ -10,211 +10,53 @@ use aero_timeseries::LabelGrid;
 
 use crate::fleet::FleetHealth;
 use crate::online::HealthReport;
-use crate::overload::{OverloadCounters, TenantRollup};
 use crate::supervisor::SupervisorStats;
 
-/// Escapes a string for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Minimal JSON object writer shared by the CLI end-of-run summaries, the
-/// `aero serve` status endpoint, and the final drain summary — one encoder,
-/// tested once, no external crates on the streaming path. Keys are emitted
-/// in insertion order; values are numbers, escaped strings, or pre-encoded
-/// JSON fragments.
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    buf: String,
-}
-
-impl JsonObject {
-    /// An empty object.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
-        }
-        self.buf.push('"');
-        self.buf.push_str(&json_escape(key));
-        self.buf.push_str("\":");
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn num(mut self, key: &str, value: usize) -> Self {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    /// Adds a float field (`null` when non-finite — JSON has no NaN).
-    pub fn float(mut self, key: &str, value: f64) -> Self {
-        self.key(key);
-        if value.is_finite() {
-            self.buf.push_str(&format!("{value}"));
-        } else {
-            self.buf.push_str("null");
-        }
-        self
-    }
-
-    /// Adds an escaped string field.
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.buf.push('"');
-        self.buf.push_str(&json_escape(value));
-        self.buf.push('"');
-        self
-    }
-
-    /// Adds a pre-encoded JSON fragment (object, array, or literal) verbatim.
-    pub fn raw(mut self, key: &str, json: &str) -> Self {
-        self.key(key);
-        self.buf.push_str(json);
-        self
-    }
-
-    /// Adds an array of pre-encoded JSON fragments.
-    pub fn arr(mut self, key: &str, items: impl IntoIterator<Item = String>) -> Self {
-        self.key(key);
-        self.buf.push('[');
-        let mut first = true;
-        for item in items {
-            if !first {
-                self.buf.push(',');
-            }
-            first = false;
-            self.buf.push_str(&item);
-        }
-        self.buf.push(']');
-        self
-    }
-
-    /// Closes the object.
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
-    }
-}
-
-/// [`OverloadCounters`] as a JSON object.
-pub fn overload_json(ov: &OverloadCounters) -> String {
-    JsonObject::new()
-        .num("queue_depth", ov.queue_depth)
-        .num("queue_peak", ov.queue_peak)
-        .num("frames_rejected", ov.frames_rejected)
-        .num("star_sheds", ov.star_sheds)
-        .num("ladder_steps_down", ov.ladder_steps_down)
-        .num("ladder_steps_up", ov.ladder_steps_up)
-        .num("stars_below_full", ov.stars_below_full)
-        .num("fallback_scores", ov.fallback_scores)
-        .num("held_verdicts", ov.held_verdicts)
-        .num("frames_behind", ov.frames_behind)
-        .finish()
-}
-
-/// [`SupervisorStats`] as a JSON object.
-pub fn supervisor_json(sup: &SupervisorStats) -> String {
-    JsonObject::new()
-        .num("panics", sup.panics)
-        .num("deadline_misses", sup.deadline_misses)
-        .num("task_failures", sup.task_failures)
-        .num("retries", sup.retries)
-        .num("circuits_opened", sup.circuits_opened)
-        .num("circuits_closed", sup.circuits_closed)
-        .num("probes", sup.probes)
-        .num("short_circuits", sup.short_circuits)
-        .finish()
-}
-
-/// [`TenantRollup`] as a JSON array of per-tenant lanes (ascending id).
-pub fn tenants_json(tenants: &TenantRollup) -> String {
-    let lanes = tenants.lanes().iter().map(|l| {
-        JsonObject::new()
-            .num("tenant", l.tenant as usize)
-            .num("offered", l.offered)
-            .num("admitted", l.admitted)
-            .num("shed", l.shed)
-            .num("rejected_backpressure", l.rejected_backpressure)
-            .num("rejected_quota", l.rejected_quota)
-            .finish()
-    });
-    let mut out = String::from("[");
-    for (i, lane) in lanes.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&lane);
-    }
-    out.push(']');
-    out
+/// Renders one JSON document — the status, drain, stream, fleet, WAL-scrub
+/// and load-generator documents all go through here. The vendored
+/// `serde_json` writer renders a value tree and never fails; a document
+/// struct has no map keys or custom serializers that could.
+pub fn to_json<T: serde::Serialize>(doc: &T) -> String {
+    serde_json::to_string(doc).unwrap_or_default()
 }
 
 /// [`HealthReport`] as a JSON object, overload counters and tenant lanes
 /// nested inside.
 pub fn health_json(health: &HealthReport) -> String {
-    JsonObject::new()
-        .num("frames_accepted", health.frames_accepted)
-        .num("frames_dropped_stale", health.frames_dropped_stale)
-        .num("frames_dropped_duplicate", health.frames_dropped_duplicate)
-        .num("frames_gap_filled", health.frames_gap_filled)
-        .num("gap_fill_truncations", health.gap_fill_truncations)
-        .num("values_imputed", health.values_imputed)
-        .num("scores_suppressed", health.scores_suppressed)
-        .num("stars_degraded", health.stars_degraded)
-        .num("stars_quarantined", health.stars_quarantined)
-        .num("quarantine_events", health.quarantine_events)
-        .num("threshold_refits", health.threshold_refits)
-        .num("threshold_refit_failures", health.threshold_refit_failures)
-        .num("shard_panics", health.shard_panics)
-        .num("shard_deadline_misses", health.shard_deadline_misses)
-        .num("shard_failures", health.shard_failures)
-        .num("frames_suppressed", health.frames_suppressed)
-        .num("circuit_breaker_trips", health.circuit_breaker_trips)
-        .raw("overload", &overload_json(&health.overload))
-        .raw("tenants", &tenants_json(&health.tenants))
-        .finish()
+    to_json(health)
 }
 
-/// End-of-run machine-readable summary shared by `aero stream`, the fleet
-/// summary, and the `aero serve` drain response: frame totals, supervision
-/// stats, and the full health report (overload counters and tenant lanes
-/// nested inside) on one line.
+/// The `frames` section of the stream, fleet and drain summaries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+pub struct FrameTotals {
+    /// Frames recovered from the WAL before live streaming resumed.
+    pub replayed: usize,
+    /// Frames offered live.
+    pub offered: usize,
+    /// Frames with at least one star above threshold.
+    pub flagged_frames: usize,
+    /// Star-points above threshold.
+    pub flagged_points: usize,
+}
+
+/// End-of-run summary document.
+#[derive(serde::Serialize)]
+struct StreamSummary {
+    frames: FrameTotals,
+    supervisor: SupervisorStats,
+    health: HealthReport,
+}
+
+/// End-of-run machine-readable summary shared by `aero stream` and the
+/// `aero serve` drain response: frame totals, supervision stats, and the
+/// full health report (overload counters and tenant lanes nested inside)
+/// on one line.
 pub fn stream_summary_json(
     health: &HealthReport,
     sup: &SupervisorStats,
-    replayed: usize,
-    offered: usize,
-    flagged_frames: usize,
-    flagged_points: usize,
+    frames: FrameTotals,
 ) -> String {
-    JsonObject::new()
-        .raw(
-            "frames",
-            &JsonObject::new()
-                .num("replayed", replayed)
-                .num("offered", offered)
-                .num("flagged_frames", flagged_frames)
-                .num("flagged_points", flagged_points)
-                .finish(),
-        )
-        .raw("supervisor", &supervisor_json(sup))
-        .raw("health", &health_json(health))
-        .finish()
+    to_json(&StreamSummary { frames, supervisor: *sup, health: health.clone() })
 }
 
 /// One candidate event on one star.
@@ -472,26 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn json_object_escapes_and_nests() {
-        let nested = JsonObject::new().num("inner", 7).finish();
-        let json = JsonObject::new()
-            .num("n", 3)
-            .float("f", 1.5)
-            .float("nan", f64::NAN)
-            .str("s", "a\"b\\c\nd")
-            .raw("o", &nested)
-            .arr("xs", vec!["1".to_string(), "2".to_string()])
-            .finish();
-        assert_eq!(
-            json,
-            "{\"n\":3,\"f\":1.5,\"nan\":null,\"s\":\"a\\\"b\\\\c\\nd\",\
-             \"o\":{\"inner\":7},\"xs\":[1,2]}"
-        );
-        assert_eq!(JsonObject::new().finish(), "{}");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn health_json_nests_overload_and_tenants() {
         let mut health = HealthReport { frames_accepted: 9, ..HealthReport::default() };
         health.overload.queue_peak = 4;
@@ -506,8 +328,8 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_json_covers_breaker_fields() {
-        let json = supervisor_json(&SupervisorStats::default());
+    fn supervisor_document_covers_breaker_fields() {
+        let json = to_json(&SupervisorStats::default());
         for key in ["panics", "retries", "circuits_opened", "probes", "short_circuits"] {
             assert!(json.contains(&format!("\"{key}\":0")), "{json}");
         }

@@ -140,7 +140,7 @@ pub enum WireMsg {
         /// Frames rejected.
         rejected: u16,
     },
-    /// Status response: a JSON document (see `report::health_json`).
+    /// Status response: a JSON document (see `ServeCore::status_json`).
     StatusJson(
         /// The JSON document.
         String,

@@ -15,9 +15,9 @@ use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 use crate::detector::{DetectorError, DetectorResult};
-use crate::online::FrameDisposition;
+use crate::online::{FrameDisposition, HealthReport};
 use crate::overload::{Admission, GovernedVerdict, RejectReason, StreamGovernor};
-use crate::report::{health_json, stream_summary_json, JsonObject};
+use crate::report::{stream_summary_json, to_json, FrameTotals};
 use crate::serve::codec::{WireFrame, WireMsg};
 
 /// Service lifecycle. Transitions only forward: `Running` → `Draining` →
@@ -41,6 +41,22 @@ impl ServeState {
             Self::Drained => "drained",
         }
     }
+}
+
+/// The status document served by [`ServeCore::status_json`].
+#[derive(serde::Serialize)]
+struct StatusDoc {
+    state: &'static str,
+    stars: usize,
+    replayed: usize,
+    offered: usize,
+    admitted: usize,
+    rejected: usize,
+    queue_depth: usize,
+    polls: usize,
+    flagged_frames: usize,
+    flagged_points: usize,
+    health: HealthReport,
 }
 
 /// Construction options for [`ServeCore`].
@@ -240,19 +256,19 @@ impl ServeCore {
     /// The status document (the `/health` analogue, served on the same
     /// wire): lifecycle, frame totals, and the full nested health report.
     pub fn status_json(&self) -> String {
-        JsonObject::new()
-            .str("state", self.state.label())
-            .num("stars", self.stars)
-            .num("replayed", self.replayed)
-            .num("offered", self.offered)
-            .num("admitted", self.admitted)
-            .num("rejected", self.rejected)
-            .num("queue_depth", self.gov.queue_depth())
-            .num("polls", self.gov.polls())
-            .num("flagged_frames", self.flagged_frames)
-            .num("flagged_points", self.flagged_points)
-            .raw("health", &health_json(self.gov.online().health()))
-            .finish()
+        to_json(&StatusDoc {
+            state: self.state.label(),
+            stars: self.stars,
+            replayed: self.replayed,
+            offered: self.offered,
+            admitted: self.admitted,
+            rejected: self.rejected,
+            queue_depth: self.gov.queue_depth(),
+            polls: self.gov.polls(),
+            flagged_frames: self.flagged_frames,
+            flagged_points: self.flagged_points,
+            health: self.gov.online().health().clone(),
+        })
     }
 
     /// The end-of-night summary (same shape as `aero stream`'s).
@@ -260,10 +276,12 @@ impl ServeCore {
         stream_summary_json(
             self.gov.online().health(),
             &self.gov.online().supervisor().stats(),
-            self.replayed,
-            self.offered,
-            self.flagged_frames,
-            self.flagged_points,
+            FrameTotals {
+                replayed: self.replayed,
+                offered: self.offered,
+                flagged_frames: self.flagged_frames,
+                flagged_points: self.flagged_points,
+            },
         )
     }
 

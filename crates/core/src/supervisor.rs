@@ -191,7 +191,7 @@ impl SupervisionError<DetectorError> {
 }
 
 /// Cumulative counters across every `run` call on a [`Supervisor`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct SupervisorStats {
     /// Attempts that panicked (across all units, including retried ones).
     pub panics: usize,

@@ -13,33 +13,35 @@
 //! # On-disk format
 //!
 //! A WAL directory holds numbered segment files `wal-000000.seg`,
-//! `wal-000001.seg`, … Each segment starts with a 16-byte header
-//! (`b"AEROWAL1"` magic + `u64` LE segment sequence number) followed by
-//! length-prefixed, checksummed records. Fleet shards write an extended
-//! 32-byte header instead (`b"AEROWAL2"` magic + `u64` LE sequence +
-//! `u64` LE catalog hash + `u32` LE shard id + `u32` LE reserved) carrying a
-//! [`WalIdentity`], so a resume pointed at the wrong shard's directory — or
-//! at a log recorded under a different catalog partition — fails with a
-//! typed [`DetectorError::WalMismatch`] instead of silently replaying
-//! another shard's frames:
+//! `wal-000001.seg`, … Each segment starts with a 32-byte header
+//! (`b"AEROWAL2"` magic + `u64` LE segment sequence number + `u64` LE catalog
+//! hash + `u32` LE shard id + `u32` LE reserved) carrying a [`WalIdentity`],
+//! followed by length-prefixed, checksummed records. A single detector logs
+//! under the default identity (shard 0, catalog hash 0); fleet shards log
+//! under their own. A resume pointed at the wrong shard's directory — or at a
+//! log recorded under a different catalog partition — fails with a typed
+//! [`DetectorError::WalMismatch`] instead of silently replaying another
+//! shard's frames:
 //!
 //! ```text
 //! [len: u32 LE] [payload: len bytes] [checksum: u64 LE]   // FNV-1a(payload)
 //! payload = frame_index: u64 LE | timestamp_bits: u64 LE
-//!         | n: u32 LE | n × value_bits: u32 LE
-//!         | [meta: u32 LE]                                 // optional
+//!         | n: u32 LE | n × value_bits: u32 LE | meta: u32 LE
 //! ```
 //!
-//! The trailing `meta` word is optional and disambiguated by length: a
-//! payload of exactly `20 + 4n` bytes has no meta, `24 + 4n` bytes carries
-//! one. [`OnlineAero::push`](crate::online::OnlineAero::push) writes plain
-//! records; the overload governor ([`crate::overload`]) writes each offered
-//! frame with `meta` = the number of service polls performed since the
-//! previous offer, which is exactly the information a resume needs to replay
-//! the same offer/poll interleaving — and therefore the same admission,
-//! shed, and ladder decisions — that the crashed process made.
+//! Every payload is exactly `24 + 4n` bytes; anything else is cut.
+//! [`OnlineAero::push`](crate::online::OnlineAero::push) writes `meta` = 0;
+//! the overload governor ([`crate::overload`]) writes each offered frame
+//! with `meta` = the number of service polls performed since the previous
+//! offer, which is exactly the information a resume needs to replay the same
+//! offer/poll interleaving — and therefore the same admission, shed, and
+//! ladder decisions — that the crashed process made.
 //!
-//! The checksum reuses the FNV-1a scheme of the v2 checkpoint format.
+//! Directories written in the retired unidentified format (16-byte headers,
+//! records without the meta word) are refused with a typed error and left
+//! untouched on disk.
+//!
+//! The checksum reuses the FNV-1a scheme of the checkpoint format.
 //! Segments rotate every [`WalConfig::frames_per_segment`] records; old
 //! segments are never rewritten. Rotation also fsyncs the **directory**
 //! (policy permitting) so the new segment's directory entry is durable, and
@@ -77,18 +79,16 @@ use std::path::{Path, PathBuf};
 use crate::detector::{DetectorError, DetectorResult};
 use crate::persist::Fnv64;
 
-/// Magic bytes opening every legacy (unidentified) segment file.
-pub const WAL_MAGIC: [u8; 8] = *b"AEROWAL1";
+/// Magic bytes opening every segment file.
+pub const WAL_MAGIC: [u8; 8] = *b"AEROWAL2";
 
-/// Magic bytes opening every identified (fleet-shard) segment file.
-pub const WAL_MAGIC_V2: [u8; 8] = *b"AEROWAL2";
+/// Segment header: magic + u64 sequence + u64 catalog hash + u32 shard id +
+/// u32 reserved.
+const SEGMENT_HEADER_LEN: u64 = 32;
 
-/// Legacy segment header: magic + u64 sequence number.
-const SEGMENT_HEADER_LEN: u64 = 16;
-
-/// Identified segment header: magic + u64 sequence + u64 catalog hash +
-/// u32 shard id + u32 reserved.
-const SEGMENT_HEADER_V2_LEN: u64 = 32;
+/// Payload bytes besides the values: frame u64 + timestamp u64 + count u32
+/// + meta u32.
+const PAYLOAD_FIXED_BYTES: usize = 24;
 
 /// Upper bound on one record's payload (guards against reading a corrupted
 /// length prefix as a multi-gigabyte allocation).
@@ -121,12 +121,10 @@ impl FsyncPolicy {
 
 /// Who a WAL belongs to: one shard of one catalog partition.
 ///
-/// Stamped into every segment header (the `AEROWAL2` format) when
-/// [`WalConfig::identity`] is set. On resume the stored identity must match
-/// the expected one word-for-word; a legacy `AEROWAL1` segment (no identity)
-/// is also rejected when an identity is expected, because an unidentified
-/// log cannot prove it holds this shard's frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Stamped into every segment header. On replay and resume the stored
+/// identity must match the expected one word-for-word. The default (shard 0,
+/// catalog hash 0) names a single detector outside any fleet.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct WalIdentity {
     /// Shard index within the fleet (coordinator logs use `u32::MAX`).
     pub shard_id: u32,
@@ -151,10 +149,9 @@ pub struct WalConfig {
     pub frames_per_segment: usize,
     /// Durability policy.
     pub fsync: FsyncPolicy,
-    /// When set, segments are written with the identified `AEROWAL2` header
-    /// and recovery rejects segments whose stored identity differs. `None`
-    /// (the default) keeps the legacy single-detector format bit-identical.
-    pub identity: Option<WalIdentity>,
+    /// Written into every segment header; recovery rejects segments whose
+    /// stored identity differs.
+    pub identity: WalIdentity,
 }
 
 impl Default for WalConfig {
@@ -162,7 +159,7 @@ impl Default for WalConfig {
         Self {
             frames_per_segment: 512,
             fsync: FsyncPolicy::default(),
-            identity: None,
+            identity: WalIdentity::default(),
         }
     }
 }
@@ -176,11 +173,11 @@ pub struct WalFrame {
     pub timestamp: f64,
     /// The frame's values (raw bits preserved).
     pub values: Vec<f32>,
-    /// Optional caller metadata. The overload governor stores the number of
-    /// service polls performed since the previous offer, so resume can
-    /// replay the exact offer/poll interleaving. Plain
-    /// [`WalWriter::append`] records carry `None`.
-    pub meta: Option<u32>,
+    /// Caller metadata. The overload governor stores the number of service
+    /// polls performed since the previous offer, so resume can replay the
+    /// exact offer/poll interleaving. Plain [`WalWriter::append`] records
+    /// carry 0.
+    pub meta: u32,
 }
 
 /// What [`replay`] / [`WalWriter::resume`] found on disk.
@@ -239,8 +236,8 @@ fn record_checksum(payload: &[u8]) -> u64 {
     h.finish()
 }
 
-fn encode_record(frame: u64, timestamp: f64, values: &[f32], meta: Option<u32>) -> Vec<u8> {
-    let payload_len = 8 + 8 + 4 + 4 * values.len() + if meta.is_some() { 4 } else { 0 };
+fn encode_record(frame: u64, timestamp: f64, values: &[f32], meta: u32) -> Vec<u8> {
+    let payload_len = PAYLOAD_FIXED_BYTES + 4 * values.len();
     let mut buf = Vec::with_capacity(4 + payload_len + 8);
     buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
     buf.extend_from_slice(&frame.to_le_bytes());
@@ -249,9 +246,7 @@ fn encode_record(frame: u64, timestamp: f64, values: &[f32], meta: Option<u32>) 
     for &v in values {
         buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    if let Some(m) = meta {
-        buf.extend_from_slice(&m.to_le_bytes());
-    }
+    buf.extend_from_slice(&meta.to_le_bytes());
     let checksum = record_checksum(&buf[4..]);
     buf.extend_from_slice(&checksum.to_le_bytes());
     buf
@@ -275,21 +270,17 @@ fn read_u64(bytes: &[u8], at: usize) -> Option<u64> {
 
 /// Decodes one checksum-verified payload, or `None` if it is structurally
 /// invalid or breaks the contiguous frame chain. The value count `n` is the
-/// authoritative layout descriptor: a payload of `20 + 4n` bytes has no
-/// trailing meta word, `24 + 4n` bytes carries one, anything else is
-/// corrupt.
+/// authoritative layout descriptor: a payload that is not exactly `24 + 4n`
+/// bytes is corrupt.
 fn parse_payload(payload: &[u8], expected_frame: u64) -> Option<WalFrame> {
     let frame = read_u64(payload, 0)?;
     let timestamp = f64::from_bits(read_u64(payload, 8)?);
     let n = read_u32(payload, 16)? as usize;
     let values_end = 20usize.checked_add(n.checked_mul(4)?)?;
-    let meta = if payload.len() == values_end {
-        None
-    } else if payload.len() == values_end.checked_add(4)? {
-        Some(read_u32(payload, values_end)?)
-    } else {
+    if payload.len() != values_end.checked_add(4)? {
         return None;
-    };
+    }
+    let meta = read_u32(payload, values_end)?;
     if frame != expected_frame {
         return None;
     }
@@ -336,95 +327,108 @@ struct SegmentScan {
     cut: bool,
 }
 
-/// Parses a segment header: `(header_len, stored_identity)`, or `None` when
-/// the header is structurally invalid (short, bad magic, wrong sequence).
-fn parse_segment_header(bytes: &[u8], expected_seq: u64) -> Option<(usize, Option<WalIdentity>)> {
-    if bytes.len() >= SEGMENT_HEADER_LEN as usize
-        && bytes.get(..8) == Some(&WAL_MAGIC[..])
-        && read_u64(bytes, 8) == Some(expected_seq)
+/// Parses a segment header's stored identity, or `None` when the header is
+/// structurally invalid (short, bad magic, wrong sequence).
+fn parse_segment_header(bytes: &[u8], expected_seq: u64) -> Option<WalIdentity> {
+    if bytes.len() < SEGMENT_HEADER_LEN as usize
+        || bytes.get(..8) != Some(&WAL_MAGIC[..])
+        || read_u64(bytes, 8) != Some(expected_seq)
     {
-        return Some((SEGMENT_HEADER_LEN as usize, None));
+        return None;
     }
-    if bytes.len() >= SEGMENT_HEADER_V2_LEN as usize
-        && bytes.get(..8) == Some(&WAL_MAGIC_V2[..])
-        && read_u64(bytes, 8) == Some(expected_seq)
-    {
-        let identity = WalIdentity {
-            catalog_hash: read_u64(bytes, 16)?,
-            shard_id: read_u32(bytes, 24)?,
-        };
-        return Some((SEGMENT_HEADER_V2_LEN as usize, Some(identity)));
-    }
-    None
+    Some(WalIdentity {
+        catalog_hash: read_u64(bytes, 16)?,
+        shard_id: read_u32(bytes, 24)?,
+    })
+}
+
+/// Why a segment written in the retired unidentified format (16-byte
+/// `AEROWAL1` header, records without the meta word) cannot be read, or
+/// `None` for any other segment. Such a log is refused rather than cut:
+/// read as a torn header, it would make [`WalWriter::resume`] recreate
+/// segment 0 and delete every later segment.
+fn legacy_format(bytes: &[u8]) -> Option<&'static str> {
+    bytes.starts_with(b"AEROWAL1").then_some(
+        "legacy AEROWAL1 segment (no identity header); this build reads only \
+         AEROWAL2 logs: re-run the night into an empty WAL directory, or finish \
+         it with the release that wrote it",
+    )
 }
 
 /// Accepts the longest valid record prefix of one segment. `next_frame` is
 /// the frame index the first record must carry to keep the chain contiguous.
-/// When `expected` is set, a segment whose header carries a different
-/// identity — or no identity at all — is a hard [`DetectorError::WalMismatch`]
-/// rather than a silent cut: the log is not *this shard's* log, and treating
-/// it as a torn tail would misreplay another shard's frames.
+/// A segment whose header carries a different identity than `expected`, or
+/// that is in the legacy format, is a hard [`DetectorError::WalMismatch`]
+/// rather than a silent cut: the log is not *this detector's* log, and
+/// treating it as a torn tail would misreplay (or delete) its frames.
 fn scan_segment(
     bytes: &[u8],
     expected_seq: u64,
     mut next_frame: u64,
-    expected: Option<WalIdentity>,
+    expected: WalIdentity,
 ) -> DetectorResult<SegmentScan> {
     let mut frames = Vec::new();
-    let Some((header_len, stored)) = parse_segment_header(bytes, expected_seq) else {
+    if let Some(why) = legacy_format(bytes) {
+        return Err(DetectorError::WalMismatch(why.into()));
+    }
+    let Some(stored) = parse_segment_header(bytes, expected_seq) else {
         return Ok(SegmentScan {
             frames,
             valid_len: 0,
             cut: true,
         });
     };
-    if let Some(exp) = expected {
-        match stored {
-            None => {
-                return Err(DetectorError::WalMismatch(format!(
-                    "segment carries no identity header (legacy AEROWAL1); expected {exp}"
-                )));
-            }
-            Some(got) if got != exp => {
-                return Err(DetectorError::WalMismatch(format!(
-                    "segment belongs to {got}; expected {exp}"
-                )));
-            }
-            Some(_) => {}
-        }
+    if stored != expected {
+        return Err(DetectorError::WalMismatch(format!(
+            "segment belongs to {stored}; expected {expected}"
+        )));
     }
-    let mut pos = header_len;
+    let mut pos = SEGMENT_HEADER_LEN as usize;
     while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        let Some(len) = read_u32(rest, 0) else {
+        let Ok(payload) = read_record(&bytes[pos..]) else {
             return Ok(cut_at(frames, pos));
         };
-        // 20 = frame u64 + timestamp u64 + count u32: the smallest payload.
-        if !(20..=MAX_PAYLOAD_BYTES).contains(&len) {
-            return Ok(cut_at(frames, pos));
-        }
-        let len = len as usize;
-        let Some(payload) = rest.get(4..4 + len) else {
-            return Ok(cut_at(frames, pos));
-        };
-        let Some(stored) = read_u64(rest, 4 + len) else {
-            return Ok(cut_at(frames, pos));
-        };
-        if record_checksum(payload) != stored {
-            return Ok(cut_at(frames, pos));
-        }
         let Some(frame) = parse_payload(payload, next_frame) else {
             return Ok(cut_at(frames, pos));
         };
         frames.push(frame);
         next_frame += 1;
-        pos += 4 + len + 8;
+        pos += 4 + payload.len() + 8;
     }
     Ok(SegmentScan {
         frames,
         valid_len: pos as u64,
         cut: false,
     })
+}
+
+/// The checksum-verified payload of the record framed at the start of
+/// `rest`, or why it cannot be read: a torn tail (bytes missing, or a length
+/// field out of range) or a checksum mismatch.
+fn read_record(rest: &[u8]) -> Result<&[u8], (WalFindingKind, String)> {
+    let torn = |detail| Err((WalFindingKind::TornTail, detail));
+    let Some(len) = read_u32(rest, 0) else {
+        return torn(format!(
+            "{} trailing byte(s) after the last record",
+            rest.len()
+        ));
+    };
+    if !(PAYLOAD_FIXED_BYTES as u32..=MAX_PAYLOAD_BYTES).contains(&len) {
+        return torn(format!("record length field {len} out of range"));
+    }
+    let len = len as usize;
+    let (Some(payload), Some(stored)) = (rest.get(4..4 + len), read_u64(rest, 4 + len)) else {
+        return torn(format!(
+            "record of {len} payload byte(s) cut off at end of file"
+        ));
+    };
+    if record_checksum(payload) != stored {
+        return Err((
+            WalFindingKind::ChecksumMismatch,
+            format!("stored checksum {stored:#018x} does not match the payload"),
+        ));
+    }
+    Ok(payload)
 }
 
 fn cut_at(frames: Vec<WalFrame>, pos: usize) -> SegmentScan {
@@ -445,7 +449,7 @@ struct ScanOutcome {
     ignored: Vec<PathBuf>,
 }
 
-fn scan_dir(dir: &Path, expected: Option<WalIdentity>) -> DetectorResult<ScanOutcome> {
+fn scan_dir(dir: &Path, expected: WalIdentity) -> DetectorResult<ScanOutcome> {
     let segments = list_segments(dir)?;
     let mut frames: Vec<WalFrame> = Vec::new();
     let mut recovery = WalRecovery::default();
@@ -493,22 +497,10 @@ fn scan_dir(dir: &Path, expected: Option<WalIdentity>) -> DetectorResult<ScanOut
 }
 
 /// Reads the longest valid frame prefix from a WAL directory without
-/// modifying anything on disk. Accepts both legacy and identified segments
-/// without checking who they belong to (forensics mode); recovery paths that
-/// *continue* a log go through [`WalWriter::resume`], which enforces
-/// [`WalConfig::identity`].
-pub fn replay(dir: &Path) -> DetectorResult<(Vec<WalFrame>, WalRecovery)> {
-    let outcome = scan_dir(dir, None)?;
-    Ok((outcome.frames, outcome.recovery))
-}
-
-/// [`replay`] that additionally verifies every segment header carries
-/// exactly `identity`, failing with [`DetectorError::WalMismatch`] otherwise.
-pub fn replay_identified(
-    dir: &Path,
-    identity: WalIdentity,
-) -> DetectorResult<(Vec<WalFrame>, WalRecovery)> {
-    let outcome = scan_dir(dir, Some(identity))?;
+/// modifying anything on disk, verifying every segment header carries
+/// exactly `identity` ([`DetectorError::WalMismatch`] otherwise).
+pub fn replay(dir: &Path, identity: WalIdentity) -> DetectorResult<(Vec<WalFrame>, WalRecovery)> {
+    let outcome = scan_dir(dir, identity)?;
     Ok((outcome.frames, outcome.recovery))
 }
 
@@ -573,7 +565,7 @@ pub struct WalVerifyReport {
     pub frames: usize,
     /// Total bytes examined.
     pub bytes: u64,
-    /// The identity carried by the first identified segment, if any.
+    /// The identity carried by the first segment with a valid header, if any.
     pub identity: Option<WalIdentity>,
     /// Everything wrong, in on-disk order.
     pub findings: Vec<WalFinding>,
@@ -613,47 +605,35 @@ pub fn verify(dir: &Path, expected: Option<WalIdentity>) -> DetectorResult<WalVe
             });
         }
         expected_seq = seq + 1;
-        let Some((header_len, stored_identity)) = parse_segment_header(&bytes, *seq) else {
-            report.findings.push(WalFinding {
-                segment: *seq,
-                path: path.clone(),
-                offset: 0,
-                kind: WalFindingKind::BadHeader,
-                detail: "missing or malformed segment header".into(),
-            });
+        let finding = |kind, detail: String| WalFinding {
+            segment: *seq,
+            path: path.clone(),
+            offset: 0,
+            kind,
+            detail,
+        };
+        let Some(id) = parse_segment_header(&bytes, *seq) else {
+            let detail = legacy_format(&bytes).unwrap_or("missing or malformed segment header");
+            report
+                .findings
+                .push(finding(WalFindingKind::BadHeader, detail.into()));
             continue;
         };
-        match (report.identity, stored_identity) {
-            (None, Some(id)) => report.identity = Some(id),
-            (Some(first), Some(id)) if id != first => report.findings.push(WalFinding {
-                segment: *seq,
-                path: path.clone(),
-                offset: 0,
-                kind: WalFindingKind::IdentityMismatch,
-                detail: format!("segment belongs to {id}; directory started as {first}"),
-            }),
-            _ => {}
+        match report.identity {
+            None => report.identity = Some(id),
+            Some(first) if id != first => report.findings.push(finding(
+                WalFindingKind::IdentityMismatch,
+                format!("segment belongs to {id}; directory started as {first}"),
+            )),
+            Some(_) => {}
         }
-        if let Some(exp) = expected {
-            match stored_identity {
-                Some(id) if id == exp => {}
-                Some(id) => report.findings.push(WalFinding {
-                    segment: *seq,
-                    path: path.clone(),
-                    offset: 0,
-                    kind: WalFindingKind::IdentityMismatch,
-                    detail: format!("segment belongs to {id}; expected {exp}"),
-                }),
-                None => report.findings.push(WalFinding {
-                    segment: *seq,
-                    path: path.clone(),
-                    offset: 0,
-                    kind: WalFindingKind::IdentityMismatch,
-                    detail: format!("legacy AEROWAL1 segment (no identity); expected {exp}"),
-                }),
-            }
+        if let Some(exp) = expected.filter(|&exp| exp != id) {
+            report.findings.push(finding(
+                WalFindingKind::IdentityMismatch,
+                format!("segment belongs to {id}; expected {exp}"),
+            ));
         }
-        verify_records(&bytes, header_len, *seq, path, &mut next_frame, &mut report);
+        verify_records(&bytes, *seq, path, &mut next_frame, &mut report);
     }
     Ok(report)
 }
@@ -663,13 +643,12 @@ pub fn verify(dir: &Path, expected: Option<WalIdentity>) -> DetectorResult<WalVe
 /// have no reliable framing) but keeps the directory walk going.
 fn verify_records(
     bytes: &[u8],
-    header_len: usize,
     seq: u64,
     path: &Path,
     next_frame: &mut u64,
     report: &mut WalVerifyReport,
 ) {
-    let mut pos = header_len;
+    let mut pos = SEGMENT_HEADER_LEN as usize;
     let push = |report: &mut WalVerifyReport, offset: usize, kind, detail: String| {
         report.findings.push(WalFinding {
             segment: seq,
@@ -680,24 +659,13 @@ fn verify_records(
         });
     };
     while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        let Some(len) = read_u32(rest, 0) else {
-            push(report, pos, WalFindingKind::TornTail, format!("{} trailing byte(s) after the last record", rest.len()));
-            return;
+        let payload = match read_record(&bytes[pos..]) {
+            Ok(payload) => payload,
+            Err((kind, detail)) => {
+                push(report, pos, kind, detail);
+                return;
+            }
         };
-        if !(20..=MAX_PAYLOAD_BYTES).contains(&len) {
-            push(report, pos, WalFindingKind::TornTail, format!("record length field {len} out of range"));
-            return;
-        }
-        let len = len as usize;
-        let (Some(payload), Some(stored)) = (rest.get(4..4 + len), read_u64(rest, 4 + len)) else {
-            push(report, pos, WalFindingKind::TornTail, format!("record of {len} payload byte(s) cut off at end of file"));
-            return;
-        };
-        if record_checksum(payload) != stored {
-            push(report, pos, WalFindingKind::ChecksumMismatch, format!("stored checksum {stored:#018x} does not match the payload"));
-            return;
-        }
         // The checksum is good, so the payload bytes are authoritative:
         // decode against the frame index it *carries*, and report (then
         // resync on) any break in the chain.
@@ -717,7 +685,7 @@ fn verify_records(
         }
         report.frames += 1;
         *next_frame += 1;
-        pos += 4 + len + 8;
+        pos += 4 + payload.len() + 8;
     }
 }
 
@@ -765,7 +733,9 @@ impl WalWriter {
     /// Recovers the longest valid prefix from `dir`, truncates the torn
     /// tail, deletes any segments past the cut, and reopens the log for
     /// appending. Returns the writer, the recovered frames (to replay into a
-    /// fresh `OnlineAero`), and what was found.
+    /// fresh `OnlineAero`), and what was found. A directory under another
+    /// identity, or in the retired unidentified format, fails with
+    /// [`DetectorError::WalMismatch`] before anything on disk changes.
     pub fn resume(dir: &Path, config: WalConfig) -> DetectorResult<(Self, Vec<WalFrame>, WalRecovery)> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, e))?;
         let outcome = scan_dir(dir, config.identity)?;
@@ -821,7 +791,7 @@ impl WalWriter {
         Ok((writer, outcome.frames, outcome.recovery))
     }
 
-    fn open_segment(dir: &Path, seq: u64, identity: Option<WalIdentity>) -> DetectorResult<File> {
+    fn open_segment(dir: &Path, seq: u64, identity: WalIdentity) -> DetectorResult<File> {
         let path = segment_path(dir, seq);
         let mut file = OpenOptions::new()
             .write(true)
@@ -829,43 +799,20 @@ impl WalWriter {
             .truncate(true)
             .open(&path)
             .map_err(|e| io_err("create", &path, e))?;
-        let header: Vec<u8> = match identity {
-            None => {
-                let mut h = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
-                h.extend_from_slice(&WAL_MAGIC);
-                h.extend_from_slice(&seq.to_le_bytes());
-                h
-            }
-            Some(id) => {
-                let mut h = Vec::with_capacity(SEGMENT_HEADER_V2_LEN as usize);
-                h.extend_from_slice(&WAL_MAGIC_V2);
-                h.extend_from_slice(&seq.to_le_bytes());
-                h.extend_from_slice(&id.catalog_hash.to_le_bytes());
-                h.extend_from_slice(&id.shard_id.to_le_bytes());
-                h.extend_from_slice(&0u32.to_le_bytes());
-                h
-            }
-        };
+        let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
+        header.extend_from_slice(&WAL_MAGIC);
+        header.extend_from_slice(&seq.to_le_bytes());
+        header.extend_from_slice(&identity.catalog_hash.to_le_bytes());
+        header.extend_from_slice(&identity.shard_id.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
         file.write_all(&header).map_err(|e| write_err("write", &path, e))?;
         Ok(file)
     }
 
-    /// Appends one frame, rotating and fsyncing per policy. Returns the
-    /// frame's 0-based index in the log.
+    /// Appends one frame with meta word 0, rotating and fsyncing per
+    /// policy. Returns the frame's 0-based index in the log.
     pub fn append(&mut self, timestamp: f64, values: &[f32]) -> DetectorResult<u64> {
-        self.append_record(timestamp, values, None)
-    }
-
-    /// [`append`](Self::append) with a caller-supplied meta word (the
-    /// overload governor's polls-since-last-offer count; see
-    /// [`WalFrame::meta`]).
-    pub fn append_with_meta(
-        &mut self,
-        timestamp: f64,
-        values: &[f32],
-        meta: u32,
-    ) -> DetectorResult<u64> {
-        self.append_record(timestamp, values, Some(meta))
+        self.append_with_meta(timestamp, values, 0)
     }
 
     /// Write-error seam for tests and chaos harnesses: the next `appends`
@@ -877,11 +824,14 @@ impl WalWriter {
         self.fault_after = Some(appends);
     }
 
-    fn append_record(
+    /// [`append`](Self::append) with a caller-supplied meta word (the
+    /// overload governor's polls-since-last-offer count; see
+    /// [`WalFrame::meta`]).
+    pub fn append_with_meta(
         &mut self,
         timestamp: f64,
         values: &[f32],
-        meta: Option<u32>,
+        meta: u32,
     ) -> DetectorResult<u64> {
         if let Some(remaining) = self.fault_after.as_mut() {
             if *remaining == 0 {
@@ -968,10 +918,10 @@ mod tests {
         let config = WalConfig {
             frames_per_segment: 4,
             fsync: FsyncPolicy::Never,
-            identity: None,
+            identity: WalIdentity::default(),
         };
         let _w = write_frames(&dir, config, 11);
-        let (frames, recovery) = replay(&dir).unwrap();
+        let (frames, recovery) = replay(&dir, WalIdentity::default()).unwrap();
         assert_eq!(frames.len(), 11);
         assert_eq!(recovery.frames, 11);
         assert_eq!(recovery.segments, 3, "4 + 4 + 3 across three segments");
@@ -986,7 +936,7 @@ mod tests {
         // layer, not the WAL, is what handles them).
         let mut w = WalWriter::resume(&dir, config).unwrap().0;
         w.append(f64::NAN, &[f32::NAN, f32::INFINITY]).unwrap();
-        let (frames, _) = replay(&dir).unwrap();
+        let (frames, _) = replay(&dir, WalIdentity::default()).unwrap();
         assert!(frames[11].timestamp.is_nan());
         assert!(frames[11].values[0].is_nan());
         assert_eq!(frames[11].values[1], f32::INFINITY);
@@ -999,7 +949,7 @@ mod tests {
         let config = WalConfig {
             frames_per_segment: 100,
             fsync: FsyncPolicy::Never,
-            identity: None,
+            identity: WalIdentity::default(),
         };
         let _w = write_frames(&dir, config, 6);
         // Simulate a kill mid-write: chop the last record in half.
@@ -1009,7 +959,7 @@ mod tests {
         file.set_len(len - 13).unwrap();
         drop(file);
 
-        let (frames, recovery) = replay(&dir).unwrap();
+        let (frames, recovery) = replay(&dir, WalIdentity::default()).unwrap();
         assert_eq!(frames.len(), 5, "torn 6th record dropped");
         assert!(recovery.truncated);
         assert!(recovery.dropped_bytes > 0);
@@ -1022,7 +972,7 @@ mod tests {
         let (ts, values) = frame(5);
         w.append(ts, &values).unwrap();
         drop(w);
-        let (frames, recovery) = replay(&dir).unwrap();
+        let (frames, recovery) = replay(&dir, WalIdentity::default()).unwrap();
         assert_eq!(frames.len(), 6);
         assert!(!recovery.truncated, "resume healed the log");
         std::fs::remove_dir_all(&dir).ok();
@@ -1034,7 +984,7 @@ mod tests {
         let config = WalConfig {
             frames_per_segment: 3,
             fsync: FsyncPolicy::Never,
-            identity: None,
+            identity: WalIdentity::default(),
         };
         let _w = write_frames(&dir, config, 9);
         // Flip one payload byte in the middle of segment 1 (frames 3..6):
@@ -1044,13 +994,13 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = SEGMENT_HEADER_LEN as usize + {
             let (_, vals) = frame(3);
-            let rec = encode_record(3, frame(3).0, &vals, None).len();
+            let rec = encode_record(3, frame(3).0, &vals, 0).len();
             rec + 10
         };
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (frames, recovery) = replay(&dir).unwrap();
+        let (frames, recovery) = replay(&dir, WalIdentity::default()).unwrap();
         assert_eq!(frames.len(), 4, "prefix = segment 0 plus one good record");
         assert!(recovery.truncated);
         assert_eq!(recovery.dropped_segments, 1, "segment 2 ignored");
@@ -1062,7 +1012,7 @@ mod tests {
             "resume deletes segments past the cut"
         );
         drop(w);
-        let (frames, recovery) = replay(&dir).unwrap();
+        let (frames, recovery) = replay(&dir, WalIdentity::default()).unwrap();
         assert_eq!(frames.len(), 4);
         assert!(!recovery.truncated);
         std::fs::remove_dir_all(&dir).ok();
@@ -1095,7 +1045,7 @@ mod tests {
         let config = WalConfig {
             frames_per_segment: 3,
             fsync: FsyncPolicy::Never,
-            identity: None,
+            identity: WalIdentity::default(),
         };
         let mut w = WalWriter::create(&dir, config).unwrap();
         // Alternate governor-style meta records with plain ones across a
@@ -1110,11 +1060,12 @@ mod tests {
             assert_eq!(got, i);
         }
         drop(w);
-        let (frames, recovery) = replay(&dir).unwrap();
+        let (frames, recovery) = replay(&dir, WalIdentity::default()).unwrap();
         assert_eq!(frames.len(), 7);
         assert!(!recovery.truncated);
         for (i, f) in frames.iter().enumerate() {
-            let expected = if i % 2 == 0 { Some(i as u32 * 3) } else { None };
+            // Plain appends read back meta 0.
+            let expected = if i % 2 == 0 { i as u32 * 3 } else { 0 };
             assert_eq!(f.meta, expected, "frame {i}");
             assert_eq!(f.values, frame(i).1);
         }
@@ -1122,39 +1073,41 @@ mod tests {
         let (mut w, recovered, _) = WalWriter::resume(&dir, config).unwrap();
         assert_eq!(recovered.len(), 7);
         w.append_with_meta(frame(7).0, &frame(7).1, 99).unwrap();
-        let (frames, _) = replay(&dir).unwrap();
-        assert_eq!(frames[7].meta, Some(99));
+        let (frames, _) = replay(&dir, WalIdentity::default()).unwrap();
+        assert_eq!(frames[7].meta, 99);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn meta_payload_with_wrong_length_is_rejected() {
-        let dir = tmp_dir("metalen");
-        let config = WalConfig {
-            frames_per_segment: 100,
-            fsync: FsyncPolicy::Never,
-            identity: None,
-        };
-        let _w = write_frames(&dir, config, 2);
-        // Hand-craft a record whose payload length matches neither 20+4n
-        // nor 24+4n for its declared count: checksum passes, parser rejects.
-        // (The 32-byte payload would be valid for n=2+meta or n=3 plain;
-        // claiming n=4 makes it fit neither layout.)
-        let mut bogus = encode_record(2, 1.0, &[1.0, 2.0], Some(5));
-        bogus[4 + 16] = 4;
-        let payload_len = u32::from_le_bytes(bogus[..4].try_into().unwrap()) as usize;
-        let sum = record_checksum(&bogus[4..4 + payload_len]);
-        let sum_at = 4 + payload_len;
-        bogus[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
-        let path = segment_path(&dir, 0);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&bogus);
-        std::fs::write(&path, &bytes).unwrap();
+        // Hand-craft records whose checksum passes but whose payload is not
+        // 24+4n bytes for its declared count n: 4 bytes short (the retired
+        // layout without the meta word) and 4 bytes long. The parser cuts
+        // both, keeping the prefix.
+        for (name, resize) in [("short", -4i64), ("long", 4)] {
+            let dir = tmp_dir(&format!("metalen_{name}"));
+            let config = WalConfig {
+                frames_per_segment: 100,
+                fsync: FsyncPolicy::Never,
+                identity: WalIdentity::default(),
+            };
+            let _w = write_frames(&dir, config, 2);
+            let record = encode_record(2, 1.0, &[1.0, 2.0], 5);
+            let mut payload = record[4..record.len() - 8].to_vec();
+            payload.resize((payload.len() as i64 + resize) as usize, 0);
+            let mut bogus = (payload.len() as u32).to_le_bytes().to_vec();
+            bogus.extend_from_slice(&payload);
+            bogus.extend_from_slice(&record_checksum(&payload).to_le_bytes());
+            let path = segment_path(&dir, 0);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(&bogus);
+            std::fs::write(&path, &bytes).unwrap();
 
-        let (frames, recovery) = replay(&dir).unwrap();
-        assert_eq!(frames.len(), 2, "malformed meta record cut, prefix kept");
-        assert!(recovery.truncated);
-        std::fs::remove_dir_all(&dir).ok();
+            let (frames, recovery) = replay(&dir, WalIdentity::default()).unwrap();
+            assert_eq!(frames.len(), 2, "{name}: malformed record cut, prefix kept");
+            assert!(recovery.truncated, "{name}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1164,24 +1117,21 @@ mod tests {
         let config = WalConfig {
             frames_per_segment: 2,
             fsync: FsyncPolicy::Never,
-            identity: Some(id),
+            identity: id,
         };
         let w = write_frames(&dir, config, 5);
         drop(w);
 
-        // Plain replay (forensics) and identity-checked replay both accept it.
-        let (frames, recovery) = replay(&dir).unwrap();
+        let (frames, recovery) = replay(&dir, id).unwrap();
         assert_eq!(frames.len(), 5);
         assert!(!recovery.truncated);
-        let (frames, _) = replay_identified(&dir, id).unwrap();
-        assert_eq!(frames.len(), 5);
 
         // Resume with the right identity continues across rotation.
         let (mut w, recovered, _) = WalWriter::resume(&dir, config).unwrap();
         assert_eq!(recovered.len(), 5);
         w.append(frame(5).0, &frame(5).1).unwrap();
         drop(w);
-        assert_eq!(replay_identified(&dir, id).unwrap().0.len(), 6);
+        assert_eq!(replay(&dir, id).unwrap().0.len(), 6);
 
         // A different shard id or catalog hash is a typed hard error, for
         // replay and resume alike — never a silent truncation.
@@ -1189,13 +1139,13 @@ mod tests {
             WalIdentity { shard_id: 4, ..id },
             WalIdentity { catalog_hash: 1, ..id },
         ] {
-            match replay_identified(&dir, wrong) {
+            match replay(&dir, wrong) {
                 Err(DetectorError::WalMismatch(msg)) => {
                     assert!(msg.contains("shard 3"), "{msg}");
                 }
                 other => panic!("expected WalMismatch, got {other:?}"),
             }
-            let bad = WalConfig { identity: Some(wrong), ..config };
+            let bad = WalConfig { identity: wrong, ..config };
             assert!(matches!(
                 WalWriter::resume(&dir, bad),
                 Err(DetectorError::WalMismatch(_))
@@ -1205,23 +1155,78 @@ mod tests {
     }
 
     #[test]
-    fn legacy_wal_rejected_when_identity_expected() {
-        let dir = tmp_dir("legacy_identity");
-        let legacy = WalConfig {
-            frames_per_segment: 100,
-            fsync: FsyncPolicy::Never,
-            identity: None,
-        };
-        let _w = write_frames(&dir, legacy, 3);
-        let id = WalIdentity { shard_id: 0, catalog_hash: 7 };
-        match replay_identified(&dir, id) {
-            Err(DetectorError::WalMismatch(msg)) => assert!(msg.contains("AEROWAL1"), "{msg}"),
-            other => panic!("expected WalMismatch, got {other:?}"),
+    fn default_and_fleet_identities_refuse_each_other() {
+        // A single detector's log (default identity) must not resume as a
+        // fleet shard's, nor the reverse.
+        let single = WalIdentity::default();
+        let shard = WalIdentity { shard_id: 0, catalog_hash: 0x5eed_0000_0000_0007 };
+        for (wrote, resumes) in [(single, shard), (shard, single)] {
+            let dir = tmp_dir("identity_cross");
+            let config = WalConfig {
+                frames_per_segment: 2,
+                fsync: FsyncPolicy::Never,
+                identity: wrote,
+            };
+            drop(write_frames(&dir, config, 3));
+            match WalWriter::resume(&dir, WalConfig { identity: resumes, ..config }) {
+                Err(DetectorError::WalMismatch(msg)) => {
+                    assert!(msg.contains(&wrote.to_string()), "{msg}");
+                    assert!(msg.contains(&resumes.to_string()), "{msg}");
+                }
+                other => panic!("expected WalMismatch, got {other:?}"),
+            }
+            assert_eq!(replay(&dir, wrote).unwrap().0.len(), 3, "log left intact");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        // Identity is only enforced when expected: the same legacy log
-        // replays fine without one.
-        let (frames, _) = replay(&dir).unwrap();
-        assert_eq!(frames.len(), 3);
+    }
+
+    /// One segment in the retired unidentified format: 16-byte `AEROWAL1`
+    /// header, records without the meta word.
+    fn legacy_segment(seq: u64, first_frame: usize, count: usize) -> Vec<u8> {
+        let mut bytes = b"AEROWAL1".to_vec();
+        bytes.extend_from_slice(&seq.to_le_bytes());
+        for i in first_frame..first_frame + count {
+            let (ts, values) = frame(i);
+            let record = encode_record(i as u64, ts, &values, 0);
+            // Today's payload minus its trailing meta word.
+            let payload = &record[4..record.len() - 12];
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(payload);
+            bytes.extend_from_slice(&record_checksum(payload).to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn aerowal1_directory_is_refused_and_left_untouched() {
+        let dir = tmp_dir("legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let segments: Vec<(PathBuf, Vec<u8>)> = (0..3)
+            .map(|seq| (segment_path(&dir, seq), legacy_segment(seq, 4 * seq as usize, 4)))
+            .collect();
+        for (path, bytes) in &segments {
+            std::fs::write(path, bytes).unwrap();
+        }
+        let names_format_and_remedy = |r: DetectorResult<()>| match r {
+            Err(DetectorError::WalMismatch(msg)) => {
+                assert!(msg.contains("AEROWAL1"), "names the format: {msg}");
+                assert!(msg.contains("empty WAL directory"), "names the remedy: {msg}");
+            }
+            other => panic!("expected WalMismatch, got {other:?}"),
+        };
+        names_format_and_remedy(replay(&dir, WalIdentity::default()).map(drop));
+        names_format_and_remedy(WalWriter::resume(&dir, WalConfig::default()).map(drop));
+        // The refused resume neither recreated segment 0 nor deleted the rest.
+        for (path, bytes) in &segments {
+            assert_eq!(&std::fs::read(path).unwrap(), bytes, "{}", path.display());
+        }
+        // The scrub attributes the format too.
+        let report = verify(&dir, None).unwrap();
+        assert_eq!(report.findings.len(), 3, "{:?}", report.findings);
+        assert!(report
+            .findings
+            .iter()
+            .all(|f| f.kind == WalFindingKind::BadHeader && f.detail.contains("AEROWAL1")));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1230,7 +1235,7 @@ mod tests {
         let dir = tmp_dir("badheader");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(segment_path(&dir, 0), b"NOTAWAL!\0\0\0\0\0\0\0\0junk").unwrap();
-        let (frames, recovery) = replay(&dir).unwrap();
+        let (frames, recovery) = replay(&dir, WalIdentity::default()).unwrap();
         assert!(frames.is_empty());
         assert!(recovery.truncated);
         std::fs::remove_dir_all(&dir).ok();
@@ -1243,7 +1248,7 @@ mod tests {
         let config = WalConfig {
             frames_per_segment: 4,
             fsync: FsyncPolicy::Never,
-            identity: Some(id),
+            identity: id,
         };
         let _w = write_frames(&dir, config, 10);
         let report = verify(&dir, Some(id)).unwrap();
@@ -1253,7 +1258,7 @@ mod tests {
         assert_eq!(report.identity, Some(id));
         assert!(report.bytes > 0);
         // Scrubbing is read-only: the log replays untouched afterwards.
-        let (frames, recovery) = replay(&dir).unwrap();
+        let (frames, recovery) = replay(&dir, id).unwrap();
         assert_eq!(frames.len(), 10);
         assert!(!recovery.truncated);
         // The wrong expectation is a finding, not an error.
@@ -1273,7 +1278,7 @@ mod tests {
         let config = WalConfig {
             frames_per_segment: 3,
             fsync: FsyncPolicy::Never,
-            identity: None,
+            identity: WalIdentity::default(),
         };
         let _w = write_frames(&dir, config, 9); // segments 0, 1, 2
         // Bit-flip a payload byte mid-segment-1, tear segment 2's tail, and

@@ -141,7 +141,7 @@ fn killed_and_resumed_run(
     tear_tail: bool,
     wal_dir: &std::path::Path,
 ) -> (Vec<Vec<u8>>, String, u64) {
-    let config = WalConfig { frames_per_segment: 32, fsync: FsyncPolicy::Never, identity: None };
+    let config = WalConfig { frames_per_segment: 32, fsync: FsyncPolicy::Never, identity: Default::default() };
 
     // Phase 1: doomed process.
     {

@@ -113,7 +113,7 @@ fn fleet_config(wal_root: Option<PathBuf>) -> FleetConfig {
         seed: FLEET_SEED,
         epoch_frames: 16,
         wal_root,
-        wal: WalConfig { frames_per_segment: 8, fsync: FsyncPolicy::Never, identity: None },
+        wal: WalConfig { frames_per_segment: 8, fsync: FsyncPolicy::Never, identity: Default::default() },
         ..FleetConfig::default()
     }
 }

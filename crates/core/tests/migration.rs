@@ -115,7 +115,7 @@ fn fleet_config(wal_root: Option<PathBuf>, migrate_live: bool) -> FleetConfig {
         seed: FLEET_SEED,
         epoch_frames: EPOCH_FRAMES,
         wal_root,
-        wal: WalConfig { frames_per_segment: 8, fsync: FsyncPolicy::Never, identity: None },
+        wal: WalConfig { frames_per_segment: 8, fsync: FsyncPolicy::Never, identity: Default::default() },
         migrate_live,
         ..FleetConfig::default()
     }

@@ -6,7 +6,9 @@
 #   2. full test suite of every workspace crate, in release. `--workspace`
 #      is required: the root manifest is both a package and a workspace
 #      with no default-members, so a bare `cargo test` runs only the root
-#      package's tests
+#      package's tests. Plus the vendored serde_json unit tests: it is the
+#      only JSON writer and the checkpoint parser, and `vendor` is excluded
+#      from the workspace, so they need their own manifest path
 #   3. streaming-robustness integration suite (fault injection, degraded
 #      input, crash-safe persistence) — explicitly, so a filtered test run
 #      can't silently skip it
@@ -67,6 +69,7 @@ cargo build --release
 
 echo "==> tier-1: workspace tests"
 cargo test -q --release --workspace
+cargo test -q --release --offline --manifest-path vendor/serde_json/Cargo.toml --target-dir target
 
 echo "==> tier-1: streaming robustness"
 cargo test -q -p aero-core --test fault_injection --test persistence_robustness
