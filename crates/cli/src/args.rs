@@ -47,22 +47,30 @@ impl Args {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// String option.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+    /// String option. A key read for a value that arrived as a bare flag
+    /// (`--level` with nothing after it) is an error, never a silent default.
+    pub fn get(&self, key: &str) -> Result<Option<&str>, String> {
+        if self.flag(key) {
+            return Err(format!("--{key} requires a value"));
+        }
+        Ok(self.options.get(key).map(String::as_str))
     }
 
     /// Required string option.
     pub fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing required option --{key}"))
+        self.get(key)?.ok_or_else(|| format!("missing required option --{key}"))
     }
 
-    /// Parsed numeric option with default.
+    /// Parsed optional option.
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)?
+            .map(|v| v.parse().map_err(|_| format!("invalid value for --{key}: {v}")))
+            .transpose()
+    }
+
+    /// Parsed option with default.
     pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            Some(v) => v.parse().map_err(|_| format!("invalid value for --{key}: {v}")),
-            None => Ok(default),
-        }
+        Ok(self.parsed(key)?.unwrap_or(default))
     }
 
     /// Boolean flag (present / absent).
@@ -88,8 +96,8 @@ mod tests {
     fn parses_subcommand_options_and_flags() {
         let a = parse("detect --data ./d --method aero --paper");
         assert_eq!(a.command.as_deref(), Some("detect"));
-        assert_eq!(a.get("data"), Some("./d"));
-        assert_eq!(a.get("method"), Some("aero"));
+        assert_eq!(a.get("data").unwrap(), Some("./d"));
+        assert_eq!(a.get("method").unwrap(), Some("aero"));
         assert!(a.flag("paper"));
         assert!(!a.flag("fast"));
     }
@@ -116,6 +124,33 @@ mod tests {
     fn trailing_flag_is_boolean() {
         let a = parse("run --verbose");
         assert!(a.flag("verbose"));
+    }
+
+    #[test]
+    fn bare_value_flags_are_errors() {
+        let a = parse("stream --data ./d --level --wal");
+        for err in [
+            a.get("wal").unwrap_err(),
+            a.require("wal").unwrap_err(),
+            a.get_parsed("level", 0.99f64).unwrap_err(),
+            a.parsed::<u64>("level").unwrap_err(),
+        ] {
+            assert!(err.ends_with("requires a value"), "{err}");
+        }
+        assert_eq!(a.get("wal").unwrap_err(), "--wal requires a value");
+        // Keys never read for a value stay plain flags; absent keys default.
+        assert!(a.flag("level"));
+        assert_eq!(a.get("data").unwrap(), Some("./d"));
+        assert_eq!(a.get("q").unwrap(), None);
+        assert_eq!(a.get_parsed("q", 1e-3f64).unwrap(), 1e-3);
+    }
+
+    #[test]
+    fn parsed_options_report_bad_values() {
+        let a = parse("stream --burst 23 --faults seven");
+        assert_eq!(a.parsed::<u64>("burst").unwrap(), Some(23));
+        assert_eq!(a.parsed::<u64>("shards").unwrap(), None);
+        assert_eq!(a.parsed::<u64>("faults").unwrap_err(), "invalid value for --faults: seven");
     }
 
     #[test]

@@ -7,23 +7,23 @@ use aero_baselines::{
     AnomalyTransformer, Donut, Esg, FluxEv, Gdn, LstmNdt, NnConfig, OmniAnomaly,
     SpectralResidual, SpotDetector, TemplateMatching, TimesNet, TranAd, VaeLstm,
 };
-use aero_core::online::{DegradePolicy, FrameDisposition, OnlineAero, StarStatus};
-use aero_core::wal::{FsyncPolicy, WalConfig, WalWriter};
+use aero_core::online::{OnlineAero, StarStatus};
 use aero_core::fleet::{
     FleetConfig, FleetCoordinator, ShardAssignment, ShardFactory, StarCatalog,
 };
 use aero_core::{
     build_catalog, render_catalog, render_fleet_health, run_detection, to_json, Aero, AeroConfig,
-    Detector, FallbackScorer, FrameTotals, HealthReport, OverloadPolicy, StarDelta,
-    StreamGovernor, SupervisorPolicy, SupervisorStats, WalIdentity, WalVerifyReport,
+    Detector, FrameTotals, HealthReport, StarDelta, StreamGovernor, SupervisorPolicy,
+    SupervisorStats, WalIdentity, WalVerifyReport,
 };
-use aero_datagen::{AstrosetConfig, FaultInjector, FaultPlan, LoadProfile, SyntheticConfig};
+use aero_datagen::{AstrosetConfig, SyntheticConfig};
 use aero_eval::{evaluate_point_adjusted, threshold_scores};
 use aero_evt::PotConfig;
 use aero_timeseries::io::{read_labels, read_series, write_labels, write_series};
 use aero_timeseries::{Dataset, LabelGrid};
 
 use crate::args::Args;
+use crate::night::{io_err, open_governor, run_night, sr_fallback, NightOptions, Replay};
 
 /// The detectors `detect --method` accepts, with display names.
 pub const METHODS: [(&str, &str); 14] = [
@@ -102,19 +102,11 @@ fn build_preset(name: &str, seed: Option<u64>) -> Result<Dataset, String> {
     })
 }
 
-fn io_err(e: impl std::fmt::Display) -> String {
-    e.to_string()
-}
-
 /// `aero generate` — writes train/test series plus ground-truth grids.
 pub fn generate(args: &Args) -> Result<(), String> {
     let preset = args.require("preset")?;
     let out = PathBuf::from(args.require("out")?);
-    let seed = match args.get("seed") {
-        Some(s) => Some(s.parse::<u64>().map_err(io_err)?),
-        None => None,
-    };
-    let dataset = build_preset(preset, seed)?;
+    let dataset = build_preset(preset, args.parsed("seed")?)?;
     dataset.validate().map_err(io_err)?;
     std::fs::create_dir_all(&out).map_err(io_err)?;
 
@@ -181,7 +173,7 @@ pub fn detect(args: &Args) -> Result<(), String> {
     let outcome = run_detection(detector.as_mut(), &dataset, pot).map_err(io_err)?;
 
     // Optional model persistence (AERO only): train once, redeploy later.
-    if let Some(model_path) = args.get("save-model") {
+    if let Some(model_path) = args.get("save-model")? {
         if method == "aero" {
             // Re-fit on the full training split for the saved artefact.
             let mut model = Aero::new(if paper { AeroConfig::paper() } else { AeroConfig::fast() })
@@ -249,226 +241,33 @@ pub fn detect(args: &Args) -> Result<(), String> {
 /// and the degradation ladder (DESIGN.md §11), with the spectral-residual
 /// baseline wired in as the model-free fallback rung.
 pub fn stream(args: &Args) -> Result<(), String> {
-    // A bare `--faults` / `--refit-interval` / … parses as a boolean flag; a
-    // silent no-fault run when the user asked for one defeats the point.
-    for opt in [
-        "faults", "refit-interval", "wal", "fsync", "kill-after", "burst", "queue-cap", "shards",
-        "probe-after", "kill-shard", "rebalance-every",
-    ] {
-        if args.flag(opt) {
-            return Err(format!("--{opt} requires a value"));
-        }
-    }
-    if args.get("shards").is_some() {
-        return stream_fleet(args);
+    let opts = NightOptions::parse(args)?;
+    if let Some(shards) = args.parsed("shards")? {
+        return stream_fleet(args, &opts, shards);
     }
     for opt in ["probe-after", "kill-shard", "rebalance-every"] {
-        if args.get(opt).is_some() {
+        if args.get(opt)?.is_some() {
             return Err(format!(
                 "--{opt} applies to shard-level fleet supervision; add --shards <n>"
             ));
         }
     }
-    let data = PathBuf::from(args.require("data")?);
-    let model_path = PathBuf::from(args.require("model")?);
-    let pot = PotConfig {
-        level: args.get_parsed("level", 0.99f64)?,
-        q: args.get_parsed("q", 1e-3f64)?,
-    };
-    let policy = DegradePolicy {
-        refit_interval: args.get_parsed("refit-interval", 0usize)?,
-        ..DegradePolicy::default()
-    };
-    let wal_dir = args.get("wal").map(PathBuf::from);
-    let resume = args.flag("resume");
-    if resume && wal_dir.is_none() {
-        return Err("--resume requires --wal <dir>".into());
-    }
-    let fsync = match args.get("fsync") {
-        None => FsyncPolicy::default(),
-        Some(s) => FsyncPolicy::parse(s)
-            .ok_or_else(|| format!("--fsync must be never|segment|record, got `{s}`"))?,
-    };
-    let kill_after = args.get_parsed("kill-after", usize::MAX)?;
-    let burst_seed = match args.get("burst") {
-        Some(s) => Some(s.parse::<u64>().map_err(io_err)?),
-        None => None,
-    };
-    let queue_cap = args.get_parsed("queue-cap", 64usize)?;
-    // Watermarks scale with the chosen capacity: degrade from half full,
-    // recover below one eighth.
-    let overload_policy = OverloadPolicy {
-        queue_capacity: queue_cap,
-        high_watermark: queue_cap / 2,
-        low_watermark: queue_cap / 8,
-        ..OverloadPolicy::default()
-    };
-    let sr = SpectralResidual::default();
-    let fallback = FallbackScorer::new(move |window| sr.latest_score(window));
-
-    let train = read_series(&data.join("train.csv")).map_err(io_err)?;
-    let test = read_series(&data.join("test.csv")).map_err(io_err)?;
-    let model = aero_core::load_model(&model_path).map_err(io_err)?;
-    let online = OnlineAero::with_policy(model, &train, pot, policy).map_err(io_err)?;
+    let online = opts.online(args)?;
+    let test = opts.series("test.csv")?;
     eprintln!(
         "streaming {} frames × {} stars (threshold {:.6}, cadence {:.3}, queue cap {})",
         test.len(),
         test.num_variates(),
         online.threshold().threshold,
         online.cadence(),
-        queue_cap,
+        opts.overload.queue_capacity,
     );
-
-    // Crash recovery: replay the WAL's surviving prefix — including the
-    // recorded offer/poll interleaving — through a fresh governor,
-    // reconstructing queue, ladder, and counters exactly; then continue the
-    // night on the healed log.
-    let wal_config = WalConfig { fsync, ..WalConfig::default() };
-    let mut replayed = 0usize;
-    let mut replay_verdicts = Vec::new();
-    let mut gov = if let (Some(dir), true) = (&wal_dir, resume) {
-        let (gov, verdicts, recovery) = StreamGovernor::resume_wal(
-            online,
-            overload_policy,
-            Some(fallback),
-            dir,
-            wal_config,
-        )
-        .map_err(io_err)?;
-        replayed = recovery.frames;
-        eprintln!(
-            "resumed from {}: replayed {} frames ({} verdicts) across {} segments{}",
-            dir.display(),
-            recovery.frames,
-            verdicts.len(),
-            recovery.segments,
-            if recovery.truncated {
-                format!(
-                    " (torn tail: {} bytes and {} segments dropped)",
-                    recovery.dropped_bytes, recovery.dropped_segments
-                )
-            } else {
-                String::new()
-            }
-        );
-        replay_verdicts = verdicts;
-        gov
-    } else {
-        let mut gov =
-            StreamGovernor::with_policy(online, overload_policy).map_err(io_err)?;
-        gov.set_fallback(Some(fallback));
-        if let Some(dir) = &wal_dir {
-            gov.attach_wal(WalWriter::create(dir, wal_config).map_err(io_err)?)
-                .map_err(io_err)?;
-            eprintln!("write-ahead log: {} (fsync {:?})", dir.display(), fsync);
-        }
-        gov
-    };
-
-    // Optional fault injection: replay the night as a rough one.
-    let n = test.num_variates();
-    let frames: Vec<(f64, Vec<f32>)> = match args.get("faults") {
-        Some(seed) => {
-            let seed = seed.parse::<u64>().map_err(io_err)?;
-            let (stream, log) = FaultInjector::new(FaultPlan::rough_night(seed)).corrupt_stream(&test);
-            eprintln!(
-                "injected faults (seed {seed}): {} events, {:.1}% of frames touched",
-                log.total_faults(),
-                log.corrupted_fraction() * 100.0
-            );
-            stream.into_iter().map(|f| (f.timestamp, f.values)).collect()
-        }
-        None => (0..test.len())
-            .map(|t| (test.timestamps()[t], (0..n).map(|v| test.get(v, t)).collect()))
-            .collect(),
-    };
-
-    // Arrival schedule: steady realtime (offer one, service one) unless
-    // `--burst` turns the night into seeded 4×-realtime episodes, during
-    // which the queue fills and the governor starts shedding and degrading.
-    // The schedule always covers the FULL night; a resumed run fast-forwards
-    // past the offers the WAL already replayed so the offer/poll interleaving
-    // (and with it every admission and ladder decision) is bitwise identical
-    // to an uninterrupted run.
-    let schedule = match burst_seed {
-        Some(seed) => {
-            let profile = LoadProfile::burst_night(seed, frames.len());
-            eprintln!(
-                "burst schedule (seed {seed}): {} arrivals over {} ticks, peak {}×",
-                profile.total_arrivals().min(frames.len()),
-                frames.len(),
-                profile.peak_rate()
-            );
-            profile.arrivals()
-        }
-        None => LoadProfile::realtime(0, frames.len()).arrivals(),
-    };
-
-    let mut flagged_frames = 0usize;
-    let mut flagged_points = 0usize;
-    let mut offered = 0usize;
-    let mut rejected = 0usize;
-    let mut tally = |verdict: &aero_core::GovernedVerdict| {
-        if verdict.verdict.disposition == FrameDisposition::Scored
-            && verdict.verdict.any_anomalous()
-        {
-            flagged_frames += 1;
-            flagged_points += verdict.verdict.flagged().len();
-        }
-    };
-    // Replayed verdicts count toward the night's flag totals so a resumed
-    // run's summary matches an uninterrupted one.
-    for v in &replay_verdicts {
-        tally(v);
-    }
-    let mut pending = frames.iter().skip(replayed);
-    let mut killed = false;
-    // Offers already recovered from the WAL. Ticks wholly inside this prefix
-    // are skipped poll-and-all (their serviced polls rode in on a later offer
-    // record's meta word); the boundary tick's trailing poll is NOT in the
-    // WAL (recovery granularity is the last offer), so it re-executes here.
-    let mut to_skip = replayed;
-    'night: for arrivals in schedule {
-        let arrivals = if to_skip > arrivals {
-            to_skip -= arrivals;
-            continue;
-        } else {
-            let live = arrivals - to_skip;
-            to_skip = 0;
-            live
-        };
-        for _ in 0..arrivals {
-            if offered >= kill_after {
-                eprintln!(
-                    "killed after {offered} live frames (simulated crash; rerun with \
-                     --resume to continue)"
-                );
-                killed = true;
-                break 'night;
-            }
-            let Some((timestamp, values)) = pending.next() else {
-                break 'night;
-            };
-            let admission = gov.offer(*timestamp, values).map_err(io_err)?;
-            offered += 1;
-            if !admission.is_accepted() {
-                rejected += 1;
-            }
-        }
-        if let Some(v) = gov.poll().map_err(io_err)? {
-            tally(&v);
-        }
-    }
-    if !killed {
-        // Night over: drain whatever backlog the bursts left behind.
-        for v in gov.drain().map_err(io_err)? {
-            tally(&v);
-        }
-    }
+    let (mut gov, replay) = open_governor(online, opts.overload.clone(), &opts)?;
+    let (totals, rejected) = run_night(&mut gov, &opts, &test, replay, None)?;
 
     println!(
         "frames: {} replayed + {} offered ({} rejected), {} flagged ({} star-points above threshold)",
-        replayed, offered, rejected, flagged_frames, flagged_points
+        totals.replayed, totals.offered, rejected, totals.flagged_frames, totals.flagged_points
     );
     let online = gov.online();
     println!("health: {}", online.health());
@@ -482,7 +281,7 @@ pub fn stream(args: &Args) -> Result<(), String> {
     if !quarantined.is_empty() {
         println!("quarantined stars at end of night: {quarantined:?}");
     }
-    println!("{}", stream_summary_json(&gov, replayed, offered, flagged_frames, flagged_points));
+    println!("{}", stream_summary_json(&gov, totals));
     Ok(())
 }
 
@@ -490,89 +289,44 @@ pub fn stream(args: &Args) -> Result<(), String> {
 /// report (overload counters and tenant lanes nested inside) on one line.
 /// Shares the encoder with the `aero serve` status endpoint and drain
 /// summary ([`aero_core::stream_summary_json`]).
-fn stream_summary_json(
-    gov: &StreamGovernor,
-    replayed: usize,
-    offered: usize,
-    flagged_frames: usize,
-    flagged_points: usize,
-) -> String {
-    aero_core::stream_summary_json(
-        gov.online().health(),
-        &gov.online().supervisor().stats(),
-        FrameTotals { replayed, offered, flagged_frames, flagged_points },
-    )
+fn stream_summary_json(gov: &StreamGovernor, totals: FrameTotals) -> String {
+    aero_core::stream_summary_json(gov.online().health(), &gov.online().supervisor().stats(), totals)
 }
 
 /// `aero stream --shards N` — shared-nothing fleet mode.
 ///
 /// The star catalog is partitioned across N shards, each a fully independent
 /// failure domain (its own detector, WAL directory `<wal>/shard-KKKK/`,
-/// degradation ladder, and breaker) behind a routing coordinator. Compact
-/// per-shard models are trained in-process and checkpointed next to the WAL
+/// degradation ladder, and breaker) behind a routing coordinator. One
+/// shared backbone is trained in-process and checkpointed next to the WAL
 /// (`<wal>/models/`) so shard restarts and `--resume` load identical bits.
-fn stream_fleet(args: &Args) -> Result<(), String> {
-    let data = PathBuf::from(args.require("data")?);
-    if args.get("model").is_some() {
+fn stream_fleet(args: &Args, opts: &NightOptions, num_shards: usize) -> Result<(), String> {
+    if args.get("model")?.is_some() {
         return Err(
             "fleet mode trains per-shard models in-process; drop --model (checkpoints land \
              under <wal>/models/)"
                 .into(),
         );
     }
-    let num_shards: usize = args.get_parsed("shards", 0usize)?;
     if num_shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let pot = PotConfig {
-        level: args.get_parsed("level", 0.99f64)?,
-        q: args.get_parsed("q", 1e-3f64)?,
-    };
-    let policy = DegradePolicy {
-        refit_interval: args.get_parsed("refit-interval", 0usize)?,
-        ..DegradePolicy::default()
-    };
-    let wal_root = args.get("wal").map(PathBuf::from);
-    let resume = args.flag("resume");
-    if resume && wal_root.is_none() {
-        return Err("--resume requires --wal <dir>".into());
-    }
-    let fsync = match args.get("fsync") {
-        None => FsyncPolicy::default(),
-        Some(s) => FsyncPolicy::parse(s)
-            .ok_or_else(|| format!("--fsync must be never|segment|record, got `{s}`"))?,
-    };
-    let kill_after = args.get_parsed("kill-after", usize::MAX)?;
-    let chaos_kill = match args.get("kill-shard") {
-        Some(s) => Some(s.parse::<usize>().map_err(io_err)?),
-        None => None,
-    };
-    if chaos_kill.is_some() && kill_after == usize::MAX {
+    let chaos_kill: Option<usize> = args.parsed("kill-shard")?;
+    if chaos_kill.is_some() && opts.kill_after == usize::MAX {
         return Err("--kill-shard needs --kill-after <n> (the offer count where it dies)".into());
     }
     let probe_after = args.get_parsed("probe-after", u32::MAX)?;
     let rebalance_every = args.get_parsed("rebalance-every", 0usize)?;
     let seed = args.get_parsed("seed", 0u64)?;
-    let burst_seed = match args.get("burst") {
-        Some(s) => Some(s.parse::<u64>().map_err(io_err)?),
-        None => None,
-    };
-    let queue_cap = args.get_parsed("queue-cap", 64usize)?;
-    let overload_policy = OverloadPolicy {
-        queue_capacity: queue_cap,
-        high_watermark: queue_cap / 2,
-        low_watermark: queue_cap / 8,
-        ..OverloadPolicy::default()
-    };
 
-    let train = read_series(&data.join("train.csv")).map_err(io_err)?;
-    let test = read_series(&data.join("test.csv")).map_err(io_err)?;
+    let train = opts.series("train.csv")?;
+    let test = opts.series("test.csv")?;
     let n = test.num_variates();
     if num_shards > n {
         return Err(format!("--shards {num_shards} exceeds the {n}-star catalog"));
     }
-    if chaos_kill.is_some_and(|k| k >= num_shards) {
-        return Err(format!("--kill-shard names shard {} of {num_shards}", chaos_kill.unwrap_or(0)));
+    if let Some(k) = chaos_kill.filter(|&k| k >= num_shards) {
+        return Err(format!("--kill-shard names shard {k} of {num_shards}"));
     }
     let catalog = StarCatalog::sequential(n);
     let assignment = ShardAssignment::partition(&catalog, num_shards, seed).map_err(io_err)?;
@@ -583,7 +337,7 @@ fn stream_fleet(args: &Args) -> Result<(), String> {
     // kilobyte per-star scaler deltas. Reassembly is deterministic, so
     // restarts stay bitwise without S full per-shard model files on disk.
     // Without a WAL root the backbone lives in a per-process temp directory.
-    let models_dir = match &wal_root {
+    let models_dir = match &opts.wal {
         Some(root) => root.join("models"),
         None => std::env::temp_dir().join(format!("aero_fleet_models_{}", std::process::id())),
     };
@@ -591,7 +345,7 @@ fn stream_fleet(args: &Args) -> Result<(), String> {
     let factory: ShardFactory = {
         let train = train.clone();
         let backbone_path = models_dir.join("backbone.json");
-        let policy = policy.clone();
+        let (pot, policy) = (opts.pot, opts.degrade.clone());
         Arc::new(move |members: &[usize]| {
             let invalid = |e: aero_timeseries::TsError| {
                 aero_core::DetectorError::Invalid(e.to_string())
@@ -626,147 +380,57 @@ fn stream_fleet(args: &Args) -> Result<(), String> {
             OnlineAero::with_policy(model, &slice, pot, policy.clone())
         })
     };
-    let sr = SpectralResidual::default();
-    let fallback = FallbackScorer::new(move |window| sr.latest_score(window));
     let migrate_live = args.flag("migrate-live");
     if migrate_live && rebalance_every == 0 {
         return Err("--migrate-live needs --rebalance-every <n> (no plans, nothing to apply)".into());
     }
     let config = FleetConfig {
         seed,
-        overload: overload_policy,
+        overload: opts.overload.clone(),
         shard_supervision: SupervisorPolicy { probe_after, ..SupervisorPolicy::default() },
         epoch_frames: rebalance_every,
-        wal_root: wal_root.clone(),
-        wal: WalConfig { fsync, ..WalConfig::default() },
+        wal_root: opts.wal.clone(),
+        wal: opts.wal_config,
         migrate_live,
         chaos_migration_kill: None,
     };
 
-    let mut flagged_frames = 0usize;
-    let mut flagged_points = 0usize;
-    let mut tally = |verdict: &aero_core::GovernedVerdict| {
-        if verdict.verdict.disposition == FrameDisposition::Scored
-            && verdict.verdict.any_anomalous()
-        {
-            flagged_frames += 1;
-            flagged_points += verdict.verdict.flagged().len();
-        }
-    };
-
-    let mut replayed = 0usize;
-    let mut to_skip = 0usize;
-    let mut fleet = if resume {
+    let fallback = Some(sr_fallback());
+    let (mut fleet, replay) = if opts.resume {
         let (fleet, recovered) =
-            FleetCoordinator::resume(catalog, assignment, factory, Some(fallback), config)
+            FleetCoordinator::resume(catalog, assignment, factory, fallback, config)
                 .map_err(io_err)?;
-        replayed = recovered.replayed.iter().map(Vec::len).sum();
-        to_skip = recovered.frames_routed;
+        let verdicts: Vec<_> = recovered.replayed.into_iter().flatten().collect();
         eprintln!(
             "resumed fleet: {} frames routed, {} verdicts replayed, {} plans recovered",
-            recovered.frames_routed, replayed, recovered.plans_recovered
+            recovered.frames_routed,
+            verdicts.len(),
+            recovered.plans_recovered
         );
-        for shard in &recovered.replayed {
-            for v in shard {
-                tally(v);
-            }
-        }
-        fleet
+        (fleet, Replay { frames: recovered.frames_routed, verdicts })
     } else {
-        FleetCoordinator::new(catalog, assignment, factory, Some(fallback), config)
-            .map_err(io_err)?
+        let fleet = FleetCoordinator::new(catalog, assignment, factory, fallback, config)
+            .map_err(io_err)?;
+        (fleet, Replay::default())
     };
     eprintln!(
         "fleet: {} stars across {} shards (routing seed {seed}{})",
         n,
         num_shards,
-        wal_root
+        opts.wal
             .as_ref()
             .map(|r| format!(", WAL root {}", r.display()))
             .unwrap_or_default(),
     );
-
-    let frames: Vec<(f64, Vec<f32>)> = match args.get("faults") {
-        Some(fault_seed) => {
-            let fault_seed = fault_seed.parse::<u64>().map_err(io_err)?;
-            let (stream, log) =
-                FaultInjector::new(FaultPlan::rough_night(fault_seed)).corrupt_stream(&test);
-            eprintln!(
-                "injected faults (seed {fault_seed}): {} events, {:.1}% of frames touched",
-                log.total_faults(),
-                log.corrupted_fraction() * 100.0
-            );
-            stream.into_iter().map(|f| (f.timestamp, f.values)).collect()
-        }
-        None => (0..test.len())
-            .map(|t| (test.timestamps()[t], (0..n).map(|v| test.get(v, t)).collect()))
-            .collect(),
-    };
-    let schedule = match burst_seed {
-        Some(s) => LoadProfile::burst_night(s, frames.len()).arrivals(),
-        None => LoadProfile::realtime(0, frames.len()).arrivals(),
-    };
-
-    let mut offered = 0usize;
-    let mut rejected = 0usize;
-    let mut killed = false;
-    let mut chaos_pending = chaos_kill;
-    let mut pending = frames.iter().skip(to_skip);
-    'night: for arrivals in schedule {
-        let arrivals = if to_skip > arrivals {
-            to_skip -= arrivals;
-            continue;
-        } else {
-            let live = arrivals - to_skip;
-            to_skip = 0;
-            live
-        };
-        for _ in 0..arrivals {
-            if offered >= kill_after {
-                if let Some(k) = chaos_pending.take() {
-                    // In-process chaos: one shard dies and must restart from
-                    // its own WAL while the night keeps streaming.
-                    fleet.kill_shard(k).map_err(io_err)?;
-                    eprintln!("chaos: killed shard {k} after {offered} frames");
-                } else if chaos_kill.is_none() {
-                    eprintln!(
-                        "killed after {offered} live frames (simulated crash; rerun with \
-                         --resume to continue)"
-                    );
-                    killed = true;
-                    break 'night;
-                }
-            }
-            let Some((timestamp, values)) = pending.next() else {
-                break 'night;
-            };
-            for admission in fleet.offer(*timestamp, values).map_err(io_err)?.into_iter().flatten()
-            {
-                if !admission.is_accepted() {
-                    rejected += 1;
-                }
-            }
-            offered += 1;
-        }
-        for v in fleet.poll().map_err(io_err)?.into_iter().flatten() {
-            tally(&v);
-        }
-    }
-    if !killed {
-        for shard in fleet.drain().map_err(io_err)? {
-            for v in &shard {
-                tally(v);
-            }
-        }
-    }
+    let (totals, rejected) = run_night(&mut fleet, opts, &test, replay, chaos_kill)?;
 
     let health = fleet.health();
     println!(
         "frames: {} replayed + {} offered ({} shard slices rejected), {} flagged ({} star-points above threshold)",
-        replayed, offered, rejected, flagged_frames, flagged_points
+        totals.replayed, totals.offered, rejected, totals.flagged_frames, totals.flagged_points
     );
     print!("{}", render_fleet_health(&health));
-    println!("{}", fleet_summary_json(&health, replayed, offered, flagged_frames, flagged_points));
+    println!("{}", fleet_summary_json(&health, totals));
     Ok(())
 }
 
@@ -808,15 +472,9 @@ struct ShardRow {
     star_sheds: usize,
 }
 
-fn fleet_summary_json(
-    health: &aero_core::FleetHealth,
-    replayed: usize,
-    offered: usize,
-    flagged_frames: usize,
-    flagged_points: usize,
-) -> String {
+fn fleet_summary_json(health: &aero_core::FleetHealth, frames: FrameTotals) -> String {
     to_json(&FleetSummary {
-        frames: FrameTotals { replayed, offered, flagged_frames, flagged_points },
+        frames,
         fleet: FleetTotals {
             shards: health.shards.len(),
             frames_routed: health.frames_routed,
@@ -1121,7 +779,10 @@ mod tests {
         model.fit(&ds.train).unwrap();
         let online = OnlineAero::new(model, &ds.train, PotConfig::default()).unwrap();
         let gov = StreamGovernor::new(online).unwrap();
-        let json = stream_summary_json(&gov, 1, 2, 3, 4);
+        let json = stream_summary_json(
+            &gov,
+            FrameTotals { replayed: 1, offered: 2, flagged_frames: 3, flagged_points: 4 },
+        );
         for key in [
             "\"frames\"",
             "\"supervisor\"",

@@ -10,6 +10,7 @@
 mod args;
 mod commands;
 mod netcmd;
+mod night;
 
 use args::Args;
 
@@ -92,18 +93,15 @@ COMMANDS:
                      --model <file>        checkpoint from `detect --save-model`
                      [--listen <addr>]     bind address (default 127.0.0.1:0;
                                            prints `listening on <addr>` when up)
-                     [--wal <dir>]         write-ahead-log every admitted frame
-                     [--resume]            replay the WAL before accepting
-                                           connections (bitwise restart)
-                     [--fsync <never|segment|record>] WAL durability
+                     [--wal/--resume/--fsync/--queue-cap/--level/--q/
+                      --refit-interval]    as for `stream`; --resume replays the
+                                           WAL before accepting connections
                      [--verdicts <file>]   append one line per scored verdict
-                     [--queue-cap <n>]     admission-queue capacity (default 64)
                      [--quota-burst <n>]   per-tenant token-bucket burst (default 32)
                      [--quota-refill <n>]  tokens refilled per serviced poll (default 1)
                      [--read-timeout-ms <n>] socket read timeout (default 100)
                      [--idle-timeout-ms <n>] drop stalled/idle connections (default 10000)
                      [--max-conns <n>]     concurrent connection cap (default 64)
-                     [--level/--q/--refit-interval] as for `stream`
                    Runs until a client sends Drain; then stops accepting,
                    flushes admitted frames, fsyncs the WAL, and prints the
                    final summary JSON.
@@ -112,7 +110,7 @@ COMMANDS:
                      --data <dir>          directory with test.csv to send
                      [--conns <n>]         concurrent connections (default 1)
                      [--tenants <n>]       tenant lanes, conn % n (default 1)
-                     [--burst <seed>]      seeded burst schedule (else realtime)
+                     [--burst <seed>]      as for `stream` (else realtime)
                      [--ticks <n>]         send at most n schedule ticks
                      [--wire-faults <seed>] inject wire-level faults (garbage,
                                            torn frames, duplicates, slow-loris)
@@ -132,6 +130,9 @@ GLOBAL OPTIONS:
     --threads <n>  Worker threads for per-variate training/scoring and large
                    GEMMs (default: AERO_THREADS env, else all logical CPUs).
                    Results are bitwise identical at any thread count.
+
+An option that takes a value must be given one: a bare `--level` is an error
+(`--level requires a value`), never a silent default.
 ";
 
 fn main() {

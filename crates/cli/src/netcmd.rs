@@ -19,110 +19,30 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aero_baselines::SpectralResidual;
-use aero_core::online::{DegradePolicy, OnlineAero};
 use aero_core::serve::codec::{encode, Decoder, WireFrame, WireMsg, WIRE_PROTOCOL};
 use aero_core::serve::{serve, ServeConfig, ServeCore, ServeOptions};
-use aero_core::wal::{FsyncPolicy, WalConfig, WalWriter};
-use aero_core::{
-    to_json, FallbackScorer, OverloadPolicy, RejectReason, StreamGovernor, TenantQuota,
-};
-use aero_datagen::{LoadProfile, WireFaultPlan};
-use aero_timeseries::io::read_series;
+use aero_core::{to_json, OverloadPolicy, RejectReason, TenantQuota};
+use aero_datagen::WireFaultPlan;
 
 use crate::args::Args;
+use crate::night::{io_err, live_ticks, night_frames, open_governor, NightOptions};
 
-fn io_err(e: impl std::fmt::Display) -> String {
-    e.to_string()
-}
-
-/// `aero serve` — bind, build the governed detector (optionally resuming
+/// `aero serve` — bind, open the governed detector (fresh or resumed from
 /// its WAL), and run the service until a wire `Drain` arrives.
 pub fn serve_cmd(args: &Args) -> Result<(), String> {
-    for opt in ["wal", "fsync", "verdicts", "quota-burst", "quota-refill", "queue-cap"] {
-        if args.flag(opt) {
-            return Err(format!("--{opt} requires a value"));
-        }
-    }
-    let data = PathBuf::from(args.require("data")?);
-    let model_path = PathBuf::from(args.require("model")?);
-    let listen = args.get("listen").unwrap_or("127.0.0.1:0");
-    let pot = aero_evt::PotConfig {
-        level: args.get_parsed("level", 0.99f64)?,
-        q: args.get_parsed("q", 1e-3f64)?,
+    let opts = NightOptions::parse(args)?;
+    let listen = args.get("listen")?.unwrap_or("127.0.0.1:0");
+    let policy = OverloadPolicy {
+        tenant_quota: Some(TenantQuota {
+            burst: args.get_parsed("quota-burst", 32u32)?,
+            refill_per_poll: args.get_parsed("quota-refill", 1u32)?,
+        }),
+        ..opts.overload.clone()
     };
-    let policy = DegradePolicy {
-        refit_interval: args.get_parsed("refit-interval", 0usize)?,
-        ..DegradePolicy::default()
-    };
-    let wal_dir = args.get("wal").map(PathBuf::from);
-    let resume = args.flag("resume");
-    if resume && wal_dir.is_none() {
-        return Err("--resume requires --wal <dir>".into());
-    }
-    let fsync = match args.get("fsync") {
-        None => FsyncPolicy::default(),
-        Some(s) => FsyncPolicy::parse(s)
-            .ok_or_else(|| format!("--fsync must be never|segment|record, got `{s}`"))?,
-    };
-    let queue_cap = args.get_parsed("queue-cap", 64usize)?;
-    let quota = TenantQuota {
-        burst: args.get_parsed("quota-burst", 32u32)?,
-        refill_per_poll: args.get_parsed("quota-refill", 1u32)?,
-    };
-    let overload_policy = OverloadPolicy {
-        queue_capacity: queue_cap,
-        high_watermark: queue_cap / 2,
-        low_watermark: queue_cap / 8,
-        tenant_quota: Some(quota),
-        ..OverloadPolicy::default()
-    };
-    let sr = SpectralResidual::default();
-    let fallback = FallbackScorer::new(move |window| sr.latest_score(window));
-
-    let train = read_series(&data.join("train.csv")).map_err(io_err)?;
-    let model = aero_core::load_model(&model_path).map_err(io_err)?;
-    let online = OnlineAero::with_policy(model, &train, pot, policy).map_err(io_err)?;
-    let wal_config = WalConfig { fsync, ..WalConfig::default() };
-
-    let opts = ServeOptions { verdict_log: args.get("verdicts").map(PathBuf::from) };
-    let core = if let (Some(dir), true) = (&wal_dir, resume) {
-        let (gov, verdicts, recovery) = StreamGovernor::resume_wal(
-            online,
-            overload_policy,
-            Some(fallback),
-            dir,
-            wal_config,
-        )
-        .map_err(io_err)?;
-        eprintln!(
-            "resumed from {}: replayed {} frames ({} verdicts) across {} segments{}",
-            dir.display(),
-            recovery.frames,
-            verdicts.len(),
-            recovery.segments,
-            if recovery.truncated {
-                format!(
-                    " (torn tail: {} bytes and {} segments dropped)",
-                    recovery.dropped_bytes, recovery.dropped_segments
-                )
-            } else {
-                String::new()
-            }
-        );
-        let mut core = ServeCore::new(gov, opts).map_err(io_err)?;
-        core.absorb_replay(&verdicts, recovery.frames).map_err(io_err)?;
-        core
-    } else {
-        let mut gov = StreamGovernor::with_policy(online, overload_policy).map_err(io_err)?;
-        gov.set_fallback(Some(fallback));
-        if let Some(dir) = &wal_dir {
-            gov.attach_wal(WalWriter::create(dir, wal_config).map_err(io_err)?)
-                .map_err(io_err)?;
-            eprintln!("write-ahead log: {} (fsync {:?})", dir.display(), fsync);
-        }
-        ServeCore::new(gov, opts).map_err(io_err)?
-    };
+    let (gov, replay) = open_governor(opts.online(args)?, policy, &opts)?;
+    let serve_opts = ServeOptions { verdict_log: args.get("verdicts")?.map(PathBuf::from) };
+    let mut core = ServeCore::new(gov, serve_opts).map_err(io_err)?;
+    core.absorb_replay(&replay.verdicts, replay.frames).map_err(io_err)?;
 
     let cfg = ServeConfig {
         read_timeout: Duration::from_millis(args.get_parsed("read-timeout-ms", 100u64)?),
@@ -133,7 +53,11 @@ pub fn serve_cmd(args: &Args) -> Result<(), String> {
     let listener = TcpListener::bind(listen).map_err(io_err)?;
     let addr = listener.local_addr().map_err(io_err)?;
     // The readiness line tests and tooling parse; stdout is line-buffered.
-    println!("listening on {addr} ({} stars, queue cap {queue_cap})", core.stars());
+    println!(
+        "listening on {addr} ({} stars, queue cap {})",
+        core.stars(),
+        opts.overload.queue_capacity
+    );
     let shutdown = Arc::new(AtomicBool::new(false));
     let report = serve(listener, core, cfg, shutdown).map_err(io_err)?;
     eprintln!(
@@ -246,11 +170,6 @@ struct StatusFrames {
 
 /// `aero loadgen` — deterministic burst traffic against a running server.
 pub fn loadgen(args: &Args) -> Result<(), String> {
-    for opt in ["burst", "wire-faults", "ticks", "conns", "tenants"] {
-        if args.flag(opt) {
-            return Err(format!("--{opt} requires a value"));
-        }
-    }
     let addr = args.require("connect")?.to_string();
 
     if args.flag("status") {
@@ -269,76 +188,47 @@ pub fn loadgen(args: &Args) -> Result<(), String> {
         }
     }
 
-    let data = PathBuf::from(args.require("data")?);
+    let opts = NightOptions::parse(args)?;
     let conns = args.get_parsed("conns", 1usize)?.max(1);
     let tenants = args.get_parsed("tenants", 1u32)?.max(1);
-    let burst_seed = match args.get("burst") {
-        Some(s) => Some(s.parse::<u64>().map_err(io_err)?),
-        None => None,
-    };
-    let fault_plan = match args.get("wire-faults") {
-        Some(s) => WireFaultPlan::chaos(
-            s.parse::<u64>().map_err(io_err)?,
-            args.get_parsed("fault-period", 7usize)?,
-        ),
+    let fault_plan = match args.parsed("wire-faults")? {
+        Some(seed) => WireFaultPlan::chaos(seed, args.get_parsed("fault-period", 7usize)?),
         None => WireFaultPlan::clean(),
     };
     let max_ticks = args.get_parsed("ticks", usize::MAX)?;
     let drain = args.flag("drain");
 
-    let test = read_series(&data.join("test.csv")).map_err(io_err)?;
-    let n = test.num_variates();
-    let frames: Vec<WireFrame> = (0..test.len())
-        .map(|t| WireFrame {
-            timestamp: test.timestamps()[t],
-            values: (0..n).map(|v| test.get(v, t)).collect(),
-        })
+    let frames: Vec<WireFrame> = night_frames(&opts.series("test.csv")?, None)
+        .into_iter()
+        .map(|(timestamp, values)| WireFrame { timestamp, values })
         .collect();
-    let schedule = match burst_seed {
-        Some(seed) => LoadProfile::burst_night(seed, frames.len()).arrivals(),
-        None => LoadProfile::realtime(0, frames.len()).arrivals(),
-    };
+    let schedule = opts.schedule(frames.len());
 
     // Reconnect-and-resync: the server's WAL (surfaced through the status
     // document) is the source of truth for how many frames it already has;
     // the client never re-offers them.
-    let mut to_skip = 0usize;
+    let mut replayed = 0usize;
     if args.flag("resume-from-status") {
         let status: StatusFrames = serde_json::from_str(&fetch_status(&addr)?)
             .map_err(|e| format!("status document: {e}"))?;
-        to_skip = status.replayed + status.offered;
-        eprintln!("resuming: server already holds {to_skip} frames; skipping them");
+        replayed = status.replayed + status.offered;
+        eprintln!("resuming: server already holds {replayed} frames; skipping them");
     }
 
     // Partition ticks round-robin across connections; each connection is a
     // tenant lane (conn index mod --tenants). One connection preserves the
-    // exact single-stream arrival order — the bitwise-restart configuration.
+    // exact single-stream arrival order — the bitwise-restart configuration:
+    // tick indices survive the fast-forward, so the offer/poll interleaving
+    // (and with it every admission decision) replays bitwise.
     let mut slices: Vec<Vec<(u64, Vec<WireFrame>)>> = vec![Vec::new(); conns];
-    let mut cursor = 0usize;
-    let mut skipped = to_skip;
-    for (tick, &arrivals) in schedule.iter().enumerate() {
-        if cursor >= frames.len() || tick >= max_ticks {
+    for (tick, live) in live_ticks(&schedule, replayed) {
+        if tick >= max_ticks || live.start >= frames.len() {
             break;
         }
-        let batch: Vec<WireFrame> =
-            frames[cursor..(cursor + arrivals).min(frames.len())].to_vec();
-        cursor += batch.len();
-        // Fast-forward whole batches the server already admitted to its WAL;
-        // tick boundaries stay aligned so the offer/poll interleaving — and
-        // with it every admission decision — replays bitwise.
-        if skipped >= batch.len() {
-            skipped -= batch.len();
-            continue;
-        } else if skipped > 0 {
-            let live = batch[skipped..].to_vec();
-            skipped = 0;
-            slices[tick % conns].push((tick as u64, live));
-            continue;
+        let batch = frames[live.start..live.end.min(frames.len())].to_vec();
+        if !batch.is_empty() {
+            slices[tick % conns].push((tick as u64, batch));
         }
-        if batch.is_empty() {
-            continue;
-        }
-        slices[tick % conns].push((tick as u64, batch));
     }
 
     let mut total = LoadStats::default();

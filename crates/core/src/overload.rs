@@ -1008,12 +1008,11 @@ impl StreamGovernor {
         shed
     }
 
-    /// Resumes a governed stream from its write-ahead log: recovers the
-    /// longest valid prefix, then replays the recorded offer/poll
-    /// interleaving through a freshly rebuilt `online` (same model, same
-    /// calibration), reproducing queue, ladder, suspect set, and every
-    /// counter bitwise. Returns the replayed verdicts so the caller can
-    /// deduplicate against already-emitted output.
+    /// Resumes a governed stream from its write-ahead log: builds a fresh
+    /// governor around `online` (same model, same calibration) and runs
+    /// [`resume_wal_into`](Self::resume_wal_into) on it, reproducing queue,
+    /// ladder, suspect set, and every counter bitwise. Returns the replayed
+    /// verdicts so the caller can deduplicate against already-emitted output.
     pub fn resume_wal(
         online: OnlineAero,
         policy: OverloadPolicy,
@@ -1026,39 +1025,21 @@ impl StreamGovernor {
                 "detach the OnlineAero WAL before resuming a governed stream".into(),
             ));
         }
-        let (wal, frames, recovery) = WalWriter::resume(dir, config)?;
         let mut gov = Self::with_policy(online, policy)?;
         gov.fallback = fallback;
-        let verdicts = gov.replay_frames(frames)?;
-        gov.wal = Some(wal);
+        let (verdicts, recovery) = gov.resume_wal_into(dir, config)?;
         Ok((gov, verdicts, recovery))
     }
 
-    /// Replays recovered WAL frames through this governor, reproducing the
-    /// recorded offer/poll interleaving (see [`resume_wal`](Self::resume_wal)
-    /// for the semantics of the meta word).
-    fn replay_frames(&mut self, frames: Vec<crate::wal::WalFrame>) -> DetectorResult<Vec<GovernedVerdict>> {
-        let mut verdicts = Vec::new();
-        for frame in frames {
-            let (tenant, polls) = unpack_meta(frame.meta);
-            for _ in 0..polls {
-                if let Some(v) = self.poll()? {
-                    verdicts.push(v);
-                }
-            }
-            self.admit(tenant, frame.timestamp, &frame.values);
-            self.polls_since_offer = 0;
-        }
-        Ok(verdicts)
-    }
-
-    /// Resumes a governed stream from a WAL **on top of a seeded governor**:
-    /// the post-commit half of a live shard migration (DESIGN.md §16). The
-    /// caller builds the governor (fresh model, new membership), installs a
-    /// [`crate::migrate::ShardSnapshot`] via
-    /// [`install_migration`](Self::install_migration), and then replays the
-    /// shard's *new* epoch directory here — frames appended after the
-    /// handoff committed. The governor must not already own a WAL.
+    /// Resumes a governed stream from a WAL on top of this governor: recovers
+    /// the log's longest valid prefix, replays the recorded offer/poll
+    /// interleaving (each record's meta word carries its tenant and the polls
+    /// serviced since the previous offer), then attaches the healed log.
+    /// [`resume_wal`](Self::resume_wal) runs it on a fresh governor; the
+    /// post-commit half of a live shard migration (DESIGN.md §16) runs it on
+    /// a governor seeded via [`install_migration`](Self::install_migration),
+    /// replaying the shard's *new* epoch directory — frames appended after
+    /// the handoff committed. The governor must not already own a WAL.
     pub fn resume_wal_into(
         &mut self,
         dir: &Path,
@@ -1070,7 +1051,17 @@ impl StreamGovernor {
             ));
         }
         let (wal, frames, recovery) = WalWriter::resume(dir, config)?;
-        let verdicts = self.replay_frames(frames)?;
+        let mut verdicts = Vec::new();
+        for frame in frames {
+            let (tenant, polls) = unpack_meta(frame.meta);
+            for _ in 0..polls {
+                if let Some(v) = self.poll()? {
+                    verdicts.push(v);
+                }
+            }
+            self.admit(tenant, frame.timestamp, &frame.values);
+            self.polls_since_offer = 0;
+        }
         self.wal = Some(wal);
         Ok((verdicts, recovery))
     }

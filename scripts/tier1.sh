@@ -14,7 +14,11 @@
 #      can't silently skip it
 #   4. crash-recovery chaos suite: kill-and-resume must be bitwise
 #      identical to an uninterrupted run; panicking/deadline-blown shards
-#      quarantine their star while the rest of the frame keeps streaming
+#      quarantine their star while the rest of the frame keeps streaming;
+#      plus the CLI kill/resume suite: `aero stream` and `aero stream
+#      --shards` killed with --kill-after and finished with --resume must
+#      print the uninterrupted night's summary, with replayed + offered
+#      equal to the night length
 #   5. thread-count determinism: fit + score bitwise identical at 1 vs 4
 #      worker threads, plus blocked-GEMM == naive-reference property tests
 #   6. kernel equivalence: SIMD backends (AVX2/AVX-512/NEON, whichever the
@@ -76,6 +80,7 @@ cargo test -q -p aero-core --test fault_injection --test persistence_robustness
 
 echo "==> tier-1: crash recovery"
 cargo test -q -p aero-core --test crash_recovery
+cargo test -q -p aero-cli --test stream_resume
 
 echo "==> tier-1: thread-count determinism"
 cargo test -q -p aero-core --test determinism
