@@ -17,6 +17,7 @@ use aero_timeseries::MultivariateSeries;
 
 use crate::args::Args;
 
+/// Renders any error as the CLI's error message.
 pub fn io_err(e: impl std::fmt::Display) -> String {
     e.to_string()
 }
@@ -24,7 +25,7 @@ pub fn io_err(e: impl std::fmt::Display) -> String {
 /// The options every night-running command reads, parsed once.
 pub struct NightOptions {
     /// Directory with `train.csv` / `test.csv`.
-    pub data: PathBuf,
+    data: PathBuf,
     pub pot: PotConfig,
     pub degrade: DegradePolicy,
     /// `--wal <dir>`: write-ahead-log every offer.
@@ -37,9 +38,9 @@ pub struct NightOptions {
     /// `--kill-after <n>`: stop (or kill a shard) after n live offers.
     pub kill_after: usize,
     /// `--burst <seed>`: seeded 4×-realtime burst schedule.
-    pub burst: Option<u64>,
+    burst: Option<u64>,
     /// `--faults <seed>`: seeded rough-night fault plan.
-    pub faults: Option<u64>,
+    faults: Option<u64>,
 }
 
 impl NightOptions {
