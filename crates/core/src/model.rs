@@ -1,5 +1,12 @@
 //! The AERO detector: two-stage offline training (Algorithm 1) and online
 //! scoring (Algorithm 2), wired behind the common [`Detector`] interface.
+//!
+//! Scoring cuts a series into half-overlapping short windows and runs each
+//! one end to end — Stage-1 error `E`, then the Stage-2 residual `R` — and
+//! min-folds it into the score matrix as soon as it is done. A pass
+//! therefore holds a pool's width of windows, not the whole series, which
+//! is what keeps calibration over a night's training frames bounded; the
+//! streaming push is the same pass over a single window.
 
 use std::sync::{Arc, Mutex};
 
@@ -34,19 +41,6 @@ pub enum ScoreMode {
     /// its scores are 0. Used for shed stars; cheaper rungs (SR fallback /
     /// hold-last) are layered on top by the stream governor.
     Skip,
-}
-
-/// Stage-1 output held between the two halves of the split scoring
-/// pipeline: the scaled series, its scoring windows and their error
-/// matrices, plus the degradation modes the pass was started with. Produced
-/// by [`Aero::score_stage1`], consumed by [`Aero::score_stage2`].
-#[derive(Debug)]
-struct PendingStage1 {
-    scaled: MultivariateSeries,
-    ends: Vec<usize>,
-    errors: Vec<Matrix>,
-    modes: Option<Vec<ScoreMode>>,
-    run_stage2: bool,
 }
 
 /// Fault-injection hook for chaos testing: called with the variate index at
@@ -98,8 +92,6 @@ struct SupervisionCell {
 #[derive(Debug, Default)]
 struct ScoreScratch {
     ends: Vec<usize>,
-    errors: Vec<Matrix>,
-    residuals: Vec<(Matrix, Matrix)>,
     failures: Vec<Option<ShardFailure>>,
     /// Timestamp spine for the scaled copy of each pass's input.
     timestamps: Vec<f64>,
@@ -708,45 +700,28 @@ impl Aero {
         Ok(())
     }
 
-    /// Final residual `R = Y − Ŷ₁ − Ŷ₂` for the window ending at `end` of an
-    /// already-scaled series. Also returns the stage-1 error `E`.
+    /// One scoring window end to end: the Stage-1 error `E` for the window
+    /// ending at `end` of an already-scaled series, then its Stage-2
+    /// residual `R = Y − Ŷ₁ − Ŷ₂`. `R` is `None` when Stage 2 does not run
+    /// (no noise module, or a degraded pass with no `Full` star left, whose
+    /// residual nobody would read): the residual is then `E` itself.
     ///
     /// Takes the graph builder explicitly so stateless graph modes can score
     /// windows in parallel with per-window builder clones, while the EWMA
     /// mode threads one builder through the windows sequentially.
-    fn window_residual_with(
+    fn window_residual(
         &self,
         scaled: &MultivariateSeries,
         end: usize,
         graphs: &mut GraphBuilder,
         skip: Option<&[bool]>,
         run_stage2: bool,
-    ) -> DetectorResult<(Matrix, Matrix)> {
+    ) -> DetectorResult<(Matrix, Option<Matrix>)> {
         let e = self.window_errors_internal(scaled, end, skip)?;
-        self.stage2_from_error(scaled, end, e, graphs, run_stage2)
-    }
-
-    /// Stage-2 noise cancellation for one window given its precomputed
-    /// Stage-1 error matrix — the second half of [`window_residual_with`]
-    /// (split out so [`Aero::score_stage2`] can finish a pass whose Stage-1
-    /// errors were computed separately).
-    fn stage2_from_error(
-        &self,
-        scaled: &MultivariateSeries,
-        end: usize,
-        e: Matrix,
-        graphs: &mut GraphBuilder,
-        run_stage2: bool,
-    ) -> DetectorResult<(Matrix, Matrix)> {
-        let omega = self.omega();
-        if !run_stage2 {
-            // Degraded pass with no Full-mode star left: Stage-2's residual
-            // would be read by nobody, so skip the GCN and alias R = E.
-            return Ok((e.clone(), e));
-        }
-        let Some(gcn) = &self.gcn else {
-            return Ok((e.clone(), e));
+        let Some(gcn) = self.gcn.as_ref().filter(|_| run_stage2) else {
+            return Ok((e, None));
         };
+        let omega = self.omega();
         let mut residual = e.clone();
         let iterations = match self.config.noise_features {
             NoiseFeatures::Errors => self.config.noise_iterations.max(1),
@@ -779,61 +754,80 @@ impl Aero {
             }
             residual = residual.sub(&y2)?;
         }
-        Ok((e, residual))
+        Ok((e, Some(residual)))
     }
 
-    /// Residuals for a batch of scoring windows, in window order.
+    /// Runs every scoring window of `scaled` end to end and hands each one's
+    /// `(end, E, R)` to `fold` in window order as soon as it is scored, so a
+    /// pass holds at most a pool's width of windows, never the whole series.
     ///
-    /// Stateless graph modes (window-wise, static) score windows in parallel
-    /// with per-window builder clones; the dynamic-EWMA mode is inherently
+    /// Stateless graph modes (window-wise, static) score windows in groups
+    /// of [`aero_parallel::max_threads`] under `supervised_map`, one window
+    /// per worker with its own builder clone; a group of one runs on the
+    /// caller (the streaming push). The dynamic-EWMA mode is inherently
     /// sequential (each window's adjacency depends on the previous one), so
-    /// it threads one builder through the windows serially. Either way the
-    /// caller min-combines in window order, which is order-insensitive.
-    fn window_residuals(
+    /// it threads one builder through the windows serially. Every window
+    /// runs under a panic boundary either way: a panic becomes the typed
+    /// supervision error for that window's index, never an unwind. Folding
+    /// in window order makes the result independent of the thread count.
+    fn for_each_window(
         &mut self,
         scaled: &MultivariateSeries,
         ends: &[usize],
         skip: Option<&[bool]>,
         run_stage2: bool,
-    ) -> DetectorResult<Vec<(Matrix, Matrix)>> {
+        mut fold: impl FnMut(usize, &Matrix, &Matrix),
+    ) -> DetectorResult<()> {
         self.graphs.reset();
-        if self.graphs.is_stateful() {
-            let mut graphs = self.graphs.clone();
-            let mut out = Vec::with_capacity(ends.len());
-            for &end in ends {
-                out.push(self.window_residual_with(scaled, end, &mut graphs, skip, run_stage2)?);
+        let this = &*self;
+        if this.graphs.is_stateful() {
+            let mut graphs = this.graphs.clone();
+            for (i, &end) in ends.iter().enumerate() {
+                let (e, r) = catch_window(i, || {
+                    this.window_residual(scaled, end, &mut graphs, skip, run_stage2)
+                })?;
+                fold(end, &e, r.as_ref().unwrap_or(&e));
             }
             self.graphs = graphs;
-            Ok(out)
-        } else {
-            let this = &*self;
-            // supervised_map: a panicking window becomes a typed error for
-            // the caller instead of unwinding across the pool join.
-            aero_parallel::supervised_map(ends, |_, &end| {
-                let mut graphs = this.graphs.clone();
-                this.window_residual_with(scaled, end, &mut graphs, skip, run_stage2)
-            })
-            .into_iter()
-            .map(|r| r.map_err(DetectorError::from)?)
-            .collect()
+            return Ok(());
         }
+        let one = |end: usize| {
+            let mut graphs = this.graphs.clone();
+            this.window_residual(scaled, end, &mut graphs, skip, run_stage2)
+        };
+        let width = aero_parallel::max_threads();
+        for (base, group) in (0..).step_by(width).zip(ends.chunks(width)) {
+            if let [end] = *group {
+                let (e, r) = catch_window(base, || one(end))?;
+                fold(end, &e, r.as_ref().unwrap_or(&e));
+                continue;
+            }
+            let results = aero_parallel::supervised_map(group, |_, &end| one(end));
+            for (&end, result) in group.iter().zip(results) {
+                let (e, r) = result.map_err(|mut err| {
+                    err.shard += base;
+                    DetectorError::from(err)
+                })??;
+                fold(end, &e, r.as_ref().unwrap_or(&e));
+            }
+        }
+        Ok(())
     }
 
-    /// Stage-1 half of the split scoring pipeline: scales the series, runs
-    /// the temporal module over every scoring window and returns the error
-    /// matrices plus everything Stage-2 needs to finish the pass.
-    /// `modes = None` means an undegraded pass (all stars `Full`).
-    fn score_stage1(
-        &self,
+    /// One scoring pass: scales `series`, scores every window end to end
+    /// and min-folds each into the `N × len` score matrix as it finishes
+    /// (mode-aware: `Full` stars take `|R|`, `Stage1` stars `|E|`, `Skip`
+    /// stars are never folded), then zeroes unscored (warmup) columns and
+    /// applies score smoothing. `modes = None` is an undegraded pass.
+    fn score_pass(
+        &mut self,
         series: &MultivariateSeries,
         modes: Option<&[ScoreMode]>,
-    ) -> DetectorResult<PendingStage1> {
+    ) -> DetectorResult<Matrix> {
         if !self.trained {
             return Err(DetectorError::Invalid("call fit() first".into()));
         }
-        let ts_spine = std::mem::take(&mut self.scratch_lock().timestamps);
-        let scaled = self.scaler.transform_reusing(series, ts_spine)?;
-        let n = scaled.num_variates();
+        let n = series.num_variates();
         if let Some(modes) = modes {
             if modes.len() != n {
                 return Err(DetectorError::Invalid(format!(
@@ -842,151 +836,35 @@ impl Aero {
                 )));
             }
         }
+        let ts_spine = std::mem::take(&mut self.scratch_lock().timestamps);
+        let scaled = self.scaler.transform_reusing(series, ts_spine)?;
         let skip: Option<Vec<bool>> =
             modes.map(|m| m.iter().map(|mode| *mode == ScoreMode::Skip).collect());
         let run_stage2 = modes.is_none_or(|m| m.contains(&ScoreMode::Full));
-        let ends = self.score_ends(scaled.len());
-        let errors = {
-            let skip = skip.as_deref();
-            if ends.len() == 1 {
-                // Streaming fast path: one scoring window per push, so skip
-                // the fan-out (and its per-call result vectors) and reuse
-                // the recycled spine. A panic converts to the same typed
-                // supervision error the mapped path would report.
-                let mut out = std::mem::take(&mut self.scratch_lock().errors);
-                out.clear();
-                let end = ends[0];
-                let e = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.window_errors_internal(&scaled, end, skip)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(DetectorError::from(aero_parallel::ShardError {
-                        shard: 0,
-                        message: aero_parallel::panic_message(payload),
-                    }))
-                })?;
-                out.push(e);
-                out
-            } else {
-                aero_parallel::supervised_map(&ends, |_, &end| {
-                    self.window_errors_internal(&scaled, end, skip)
-                })
-                .into_iter()
-                .map(|r| r.map_err(DetectorError::from)?)
-                .collect::<DetectorResult<Vec<Matrix>>>()?
-            }
-        };
-        Ok(PendingStage1 {
-            scaled,
-            ends,
-            errors,
-            modes: modes.map(<[ScoreMode]>::to_vec),
-            run_stage2,
-        })
-    }
-
-    /// Stage-2 half: noise-cancels the pending error matrices and
-    /// min-combines them into the final score matrix. Composing this with
-    /// [`Aero::score_stage1`] is exactly [`Detector::score`] (modes `None`)
-    /// or [`Aero::score_with_modes`] — both delegate here.
-    fn score_stage2(&mut self, pending: PendingStage1) -> DetectorResult<Matrix> {
-        self.graphs.reset();
-        let residuals = if self.graphs.is_stateful() {
-            let mut graphs = self.graphs.clone();
-            let mut out = std::mem::take(&mut self.scratch_lock().residuals);
-            out.clear();
-            for (&end, e) in pending.ends.iter().zip(&pending.errors) {
-                out.push(self.stage2_from_error(
-                    &pending.scaled,
-                    end,
-                    e.clone(),
-                    &mut graphs,
-                    pending.run_stage2,
-                )?);
-            }
-            self.graphs = graphs;
-            out
-        } else if pending.ends.len() == 1 {
-            // Streaming fast path — mirror of the Stage-1 single-window
-            // branch: direct call on a recycled spine, panics converted to
-            // the typed supervision error.
-            let mut out = std::mem::take(&mut self.scratch_lock().residuals);
-            out.clear();
-            let this = &*self;
-            let p = &pending;
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut graphs = this.graphs.clone();
-                this.stage2_from_error(&p.scaled, p.ends[0], p.errors[0].clone(), &mut graphs, p.run_stage2)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(DetectorError::from(aero_parallel::ShardError {
-                    shard: 0,
-                    message: aero_parallel::panic_message(payload),
-                }))
-            })?;
-            out.push(r);
-            out
-        } else {
-            let this = &*self;
-            let p = &pending;
-            aero_parallel::supervised_map(&pending.ends, |i, &end| {
-                let mut graphs = this.graphs.clone();
-                this.stage2_from_error(&p.scaled, end, p.errors[i].clone(), &mut graphs, p.run_stage2)
-            })
-            .into_iter()
-            .map(|r| r.map_err(DetectorError::from)?)
-            .collect::<DetectorResult<Vec<_>>>()?
-        };
-        let scores = self.combine_scores(&pending, &residuals);
-        self.recycle_pending(pending, residuals);
-        Ok(scores)
-    }
-
-    /// Returns a finished pass's `Vec` spines to the scratch pool. The
-    /// matrix payloads drop back into the tensor workspace pool as the
-    /// spines are cleared, so the next push's Stage-1 reuses both layers.
-    fn recycle_pending(&self, pending: PendingStage1, mut residuals: Vec<(Matrix, Matrix)>) {
-        let PendingStage1 { scaled, mut ends, mut errors, .. } = pending;
+        let omega = self.omega();
+        let mut ends = self.score_ends(scaled.len());
+        let mut scores = Matrix::full(n, scaled.len(), f32::INFINITY);
+        let folded =
+            self.for_each_window(&scaled, &ends, skip.as_deref(), run_stage2, |end, e, r| {
+                let start = end + 1 - omega;
+                for v in 0..n {
+                    match modes.map_or(ScoreMode::Full, |m| m[v]) {
+                        ScoreMode::Full => fold_min(&mut scores, v, start, r.row(v)),
+                        ScoreMode::Stage1 => fold_min(&mut scores, v, start, e.row(v)),
+                        ScoreMode::Skip => {} // stays ∞, zeroed below
+                    }
+                }
+            });
+        // Hand the spines back for the next push, whether or not it scored.
         let (_values, mut ts) = scaled.into_parts();
         ts.clear();
         ends.clear();
-        errors.clear();
-        residuals.clear();
         let mut scratch = self.scratch_lock();
         scratch.ends = ends;
-        scratch.errors = errors;
-        scratch.residuals = residuals;
         scratch.timestamps = ts;
-    }
-
-    /// Min-combines window residuals into the final `N × len` score matrix
-    /// (mode-aware), zeroes unscored (warmup) columns, and applies score
-    /// smoothing.
-    fn combine_scores(&self, pending: &PendingStage1, residuals: &[(Matrix, Matrix)]) -> Matrix {
-        let n = pending.scaled.num_variates();
-        let len = pending.scaled.len();
-        let omega = self.omega();
-        let mut scores = Matrix::full(n, len, f32::INFINITY);
-        for (&end, (e, r)) in pending.ends.iter().zip(residuals) {
-            let start = end + 1 - omega;
-            for v in 0..n {
-                let mode = pending.modes.as_ref().map_or(ScoreMode::Full, |m| m[v]);
-                let src = match mode {
-                    ScoreMode::Full => r,
-                    ScoreMode::Stage1 => e,
-                    ScoreMode::Skip => continue, // stays ∞, zeroed below
-                };
-                for t in 0..omega {
-                    let cur = scores.get(v, start + t);
-                    scores.set(v, start + t, cur.min(src.get(v, t).abs()));
-                }
-            }
-        }
-        for v in scores.as_mut_slice() {
-            if v.is_infinite() {
-                *v = 0.0;
-            }
-        }
+        drop(scratch);
+        folded?;
+        zero_unscored(&mut scores);
         if self.config.score_smoothing > 1 {
             let w = self.config.score_smoothing;
             let warm = self.warmup();
@@ -996,7 +874,7 @@ impl Aero {
                 scores.row_mut(v)[warm..].copy_from_slice(&smoothed);
             }
         }
-        scores
+        Ok(scores)
     }
 
     /// Scoring window end indices: the first full window, then steps of
@@ -1055,25 +933,15 @@ impl Aero {
         let mut e_scores = Matrix::full(n, len, f32::INFINITY);
         let mut r_scores = Matrix::full(n, len, f32::INFINITY);
         let ends = self.score_ends(len);
-        let residuals = self.window_residuals(&scaled, &ends, None, true)?;
-        for (&end, (e, r)) in ends.iter().zip(&residuals) {
+        self.for_each_window(&scaled, &ends, None, true, |end, e, r| {
             let start = end + 1 - omega;
             for v in 0..n {
-                for t in 0..omega {
-                    let ce = e_scores.get(v, start + t);
-                    e_scores.set(v, start + t, ce.min(e.get(v, t).abs()));
-                    let cr = r_scores.get(v, start + t);
-                    r_scores.set(v, start + t, cr.min(r.get(v, t).abs()));
-                }
+                fold_min(&mut e_scores, v, start, e.row(v));
+                fold_min(&mut r_scores, v, start, r.row(v));
             }
-        }
-        for m in [&mut e_scores, &mut r_scores] {
-            for v in m.as_mut_slice() {
-                if v.is_infinite() {
-                    *v = 0.0;
-                }
-            }
-        }
+        })?;
+        zero_unscored(&mut e_scores);
+        zero_unscored(&mut r_scores);
         Ok((e_scores, r_scores))
     }
 
@@ -1097,8 +965,38 @@ impl Aero {
         if modes.iter().all(|m| *m == ScoreMode::Full) {
             return self.score(series);
         }
-        let pending = self.score_stage1(series, Some(modes))?;
-        self.score_stage2(pending)
+        self.score_pass(series, Some(modes))
+    }
+}
+
+/// Runs one scoring window, converting a panic into the typed supervision
+/// error `supervised_map` reports for item `index`.
+fn catch_window<R>(index: usize, f: impl FnOnce() -> DetectorResult<R>) -> DetectorResult<R> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(DetectorError::from(aero_parallel::ShardError {
+            shard: index,
+            message: aero_parallel::panic_message(payload),
+        }))
+    })
+}
+
+/// Min-folds one window row of `|·|` values into row `v` of `scores` from
+/// column `start` on. `min` is exact, so the fold order of windows that
+/// overlap a column cannot change its value.
+fn fold_min(scores: &mut Matrix, v: usize, start: usize, window_row: &[f32]) {
+    let row = &mut scores.row_mut(v)[start..start + window_row.len()];
+    for (cur, x) in row.iter_mut().zip(window_row) {
+        *cur = cur.min(x.abs());
+    }
+}
+
+/// Zeroes the cells no window scored: they are still `∞` after the fold
+/// (warmup columns and `Skip` stars).
+fn zero_unscored(scores: &mut Matrix) {
+    for v in scores.as_mut_slice() {
+        if v.is_infinite() {
+            *v = 0.0;
+        }
     }
 }
 
@@ -1418,8 +1316,7 @@ impl Detector for Aero {
     }
 
     fn score(&mut self, series: &MultivariateSeries) -> DetectorResult<Matrix> {
-        let pending = self.score_stage1(series, None)?;
-        self.score_stage2(pending)
+        self.score_pass(series, None)
     }
 
     fn warmup(&self) -> usize {
@@ -1502,6 +1399,33 @@ mod tests {
             aero.fit(&ds.train).unwrap();
             let scores = aero.score(&ds.test).unwrap();
             assert!(!scores.has_non_finite());
+        }
+    }
+
+    #[test]
+    fn scoring_panics_are_typed_errors_in_every_graph_mode() {
+        let ds = tiny_dataset();
+        for graph_mode in [
+            GraphMode::WindowWise,
+            GraphMode::StaticComplete,
+            GraphMode::DynamicEwma { beta: 0.9 },
+        ] {
+            let cfg = AeroConfig { graph_mode, max_epochs: 1, ..AeroConfig::tiny() };
+            let mut aero = Aero::new(cfg).unwrap();
+            aero.fit(&ds.train).unwrap();
+            aero.set_chaos_hook(Some(ChaosHook::new(|v| {
+                if v == 1 {
+                    panic!("chaos: star 1");
+                }
+            })));
+            let err = aero.score(&ds.test).expect_err("a panicking star must fail the pass");
+            assert!(
+                matches!(err, DetectorError::Supervision(_)),
+                "{graph_mode:?}: {err:?}"
+            );
+            // A cleared hook scores normally again.
+            aero.set_chaos_hook(None);
+            assert!(aero.score(&ds.test).is_ok(), "{graph_mode:?}");
         }
     }
 

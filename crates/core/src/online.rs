@@ -397,10 +397,14 @@ impl OnlineAero {
         }
         let scores = model.score(calibration)?;
         let warm = model.warmup().min(scores.cols());
-        let mut flat = Vec::with_capacity(scores.rows() * (scores.cols() - warm));
-        for r in 0..scores.rows() {
-            flat.extend_from_slice(&scores.row(r)[warm..]);
+        let (rows, cols) = scores.shape();
+        // The post-warmup columns, compacted in the score matrix's own
+        // buffer instead of copied out of it.
+        let mut flat = scores.into_vec();
+        for r in 0..rows {
+            flat.copy_within(r * cols + warm..(r + 1) * cols, r * (cols - warm));
         }
+        flat.truncate(rows * (cols - warm));
         let threshold = pot_threshold(&flat, pot)?;
 
         let capacity = model.config().window;

@@ -8,10 +8,16 @@
 //! on a scaled-down SyntheticMiddle (Table I) dataset — same 24 variates
 //! and noise profile, shorter span so two full fits stay test-sized.
 //!
+//! Scoring is then pinned per graph mode: the stateless modes fan windows
+//! out in pool-width groups and fold each into the score matrix as its
+//! group finishes, the EWMA mode threads one builder through the windows
+//! serially; `score` must come out bitwise the same at 1 and 4 threads in
+//! all three.
+//!
 //! Kept as the only test in this binary: the thread override is process
 //! global, so no other `#[test]` may race it.
 
-use aero_core::{save_model, Aero, AeroConfig, Detector};
+use aero_core::{save_model, Aero, AeroConfig, Detector, GraphMode};
 use aero_datagen::SyntheticConfig;
 use aero_tensor::Matrix;
 use aero_timeseries::Dataset;
@@ -23,11 +29,17 @@ fn middle_scaled() -> Dataset {
     cfg.build()
 }
 
-fn fit_and_score(ds: &Dataset, tag: &str) -> (Matrix, Vec<u8>) {
+fn fitted(ds: &Dataset, graph_mode: GraphMode) -> Aero {
     let mut cfg = AeroConfig::tiny();
     cfg.max_epochs = 2;
+    cfg.graph_mode = graph_mode;
     let mut model = Aero::new(cfg).expect("valid config");
     model.fit(&ds.train).expect("fit");
+    model
+}
+
+fn fit_and_score(ds: &Dataset, tag: &str) -> (Matrix, Vec<u8>) {
+    let mut model = fitted(ds, GraphMode::WindowWise);
     let scores = model.score(&ds.test).expect("score");
     let path = std::env::temp_dir()
         .join(format!("aero_determinism_{}_{}.json", tag, std::process::id()));
@@ -50,4 +62,21 @@ fn fit_and_score_are_bitwise_identical_across_thread_counts() {
 
     assert_eq!(model_1, model_4, "trained parameters diverged across thread counts");
     assert_eq!(scores_1, scores_4, "anomaly scores diverged across thread counts");
+
+    for mode in [
+        GraphMode::WindowWise,
+        GraphMode::StaticComplete,
+        GraphMode::DynamicEwma { beta: 0.9 },
+    ] {
+        let mut model = fitted(&ds, mode);
+        let scores_1 = model.score(&ds.test).expect("score at 1 thread");
+        aero_parallel::set_max_threads(4);
+        let scores_4 = model.score(&ds.test).expect("score at 4 threads");
+        aero_parallel::set_max_threads(1);
+        assert_eq!(
+            scores_1.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            scores_4.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "{mode:?} scores diverged across thread counts"
+        );
+    }
 }

@@ -8,6 +8,11 @@
 //! where `u` is the empirical `level`-quantile initial threshold, `n` the
 //! number of calibration scores, `Nₜ` the number of exceedances over `u`,
 //! and `q` the desired tail probability.
+//!
+//! Calibration sets are whole score matrices (stars × frames of a night),
+//! so `u` is found by selection on one `f32` copy of the finite scores —
+//! O(n), bitwise the value the textbook full sort would read, `±0.0` ties
+//! included.
 
 use crate::gpd::{self, FitMethod};
 
@@ -86,25 +91,26 @@ pub struct PotThreshold {
 /// excesses over the initial quantile threshold. Streaming callers should
 /// keep their last known-good threshold in that case; batch callers that
 /// prefer SPOT's permissive behaviour can use [`pot_threshold_lenient`].
+///
+/// O(n) time with one `f32` buffer of the finite scores: the initial
+/// threshold is found by selection, not by a sort, and the excesses are
+/// read from `scores` in input order, so the GPD fit sums them in the same
+/// sequence whatever the selection did to the buffer.
 pub fn pot_threshold(scores: &[f32], config: PotConfig) -> Result<PotThreshold, PotError> {
-    let clean: Vec<f64> = scores
-        .iter()
-        .filter(|v| v.is_finite())
-        .map(|&v| v as f64)
-        .collect();
-    let n = clean.len();
+    let mut finite = finite_scores(scores);
+    let n = finite.len();
     if n == 0 {
         return Err(PotError::NoFiniteScores);
     }
-    let mut sorted = clean.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let idx = ((config.level * (n - 1) as f64).round() as usize).min(n - 1);
-    let u = sorted[idx];
+    let u = level_quantile(scores, &mut finite, config.level);
+    drop(finite);
 
-    let peaks: Vec<f64> = clean
+    let peaks: Vec<f64> = scores
         .iter()
-        .filter(|&&s| s > u)
-        .map(|&s| s - u)
+        .filter(|v| v.is_finite())
+        .map(|&s| s as f64)
+        .filter(|&s| s > u)
+        .map(|s| s - u)
         .collect();
     let nt = peaks.len();
 
@@ -140,6 +146,41 @@ pub fn pot_threshold(scores: &[f32], config: PotConfig) -> Result<PotThreshold, 
     })
 }
 
+/// The finite entries of `scores`, in input order, in one exactly sized
+/// buffer.
+fn finite_scores(scores: &[f32]) -> Vec<f32> {
+    let mut finite = Vec::with_capacity(scores.len());
+    finite.extend(scores.iter().copied().filter(|v| v.is_finite()));
+    finite
+}
+
+/// The empirical `level`-quantile of the finite scores: the value at index
+/// `round(level · (n − 1))` of their ascending order, widened to `f64`.
+///
+/// `finite` holds the finite entries of `scores` (input order on entry,
+/// permuted on return). Selection finds the value in O(n); widening is
+/// exact and monotone, so it is the value a sort of the `f64` copy would
+/// put there. The one case where "the value" is ambiguous is a tie between
+/// `−0.0` and `+0.0`, which compare equal: a stable sort keeps tied zeros
+/// in input order, so the zero at the quantile is the `k`-th zero of
+/// `scores`, `k` counting from the number of negative scores below it.
+fn level_quantile(scores: &[f32], finite: &mut [f32], level: f64) -> f64 {
+    let n = finite.len();
+    let idx = ((level * (n - 1) as f64).round() as usize).min(n - 1);
+    let (_, &mut u, _) = finite.select_nth_unstable_by(idx, |a, b| {
+        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    if u != 0.0 {
+        return u as f64;
+    }
+    let negatives = scores.iter().filter(|&&v| v < 0.0 && v.is_finite()).count();
+    scores
+        .iter()
+        .filter(|&&v| v == 0.0)
+        .nth(idx - negatives)
+        .map_or(u as f64, |&zero| zero as f64)
+}
+
 /// [`pot_threshold`] with SPOT's permissive fallbacks instead of errors:
 /// no finite scores → never-alerting infinite threshold; too few peaks →
 /// the initial quantile plus 5% of the score spread. Batch experiment
@@ -158,17 +199,14 @@ pub fn pot_threshold_lenient(scores: &[f32], config: PotConfig) -> PotThreshold 
             method: FitMethod::MethodOfMoments,
         },
         Err(PotError::TooFewPeaks { peaks, .. }) => {
-            let clean: Vec<f64> = scores
+            let mut finite = finite_scores(scores);
+            let (lo, hi) = finite
                 .iter()
-                .filter(|v| v.is_finite())
-                .map(|&v| v as f64)
-                .collect();
-            let mut sorted = clean;
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let n = sorted.len();
-            let idx = ((config.level * (n - 1) as f64).round() as usize).min(n - 1);
-            let u = sorted[idx];
-            let spread = sorted[n - 1] - sorted[0];
+                .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            let u = level_quantile(scores, &mut finite, config.level);
+            // Which zero `min`/`max` keep can only change the sign of a
+            // zero spread, and `max(1e-9)` discards that.
+            let spread = hi as f64 - lo as f64;
             PotThreshold {
                 threshold: u + 0.05 * spread.max(1e-9),
                 initial: u,

@@ -20,7 +20,10 @@
 #      print the uninterrupted night's summary, with replayed + offered
 #      equal to the night length
 #   5. thread-count determinism: fit + score bitwise identical at 1 vs 4
-#      worker threads, plus blocked-GEMM == naive-reference property tests
+#      worker threads (score in every graph mode), plus blocked-GEMM ==
+#      naive-reference property tests and the POT property: the quantile by
+#      selection equals the sort-based reference bitwise on every field,
+#      NaN/±inf/duplicates/±0.0 ties included
 #   6. kernel equivalence: SIMD backends (AVX2/AVX-512/NEON, whichever the
 #      host supports) bitwise identical to the scalar fallback across every
 #      dispatched kernel, plus the AERO_FORCE_SCALAR env override
@@ -29,7 +32,9 @@
 #      hosts where detection would always pick SIMD
 #   8. streaming allocation gate: steady-state OnlineAero::push serves every
 #      tensor buffer and graph tape from the workspace pool (zero misses,
-#      counting-allocator harness)
+#      counting-allocator harness); plus the scoring memory gate: the peak
+#      live bytes of Aero::score and OnlineAero::new calibration beyond
+#      their by-design buffers do not grow when the series is 4x longer
 #   9. overload smoke: seeded 4x-realtime bursts keep queue depth and the
 #      work budget bounded, shed accounting reconciles, suspects are never
 #      shed, and the governed verdict stream is bitwise identical across
@@ -85,6 +90,7 @@ cargo test -q -p aero-cli --test stream_resume
 echo "==> tier-1: thread-count determinism"
 cargo test -q -p aero-core --test determinism
 cargo test -q -p aero-tensor --test gemm_equivalence
+cargo test -q -p aero-evt --test pot_equivalence
 
 echo "==> tier-1: kernel equivalence (SIMD == scalar, bitwise)"
 cargo test -q -p aero-tensor --test kernel_equivalence --test force_scalar_env
@@ -92,8 +98,9 @@ cargo test -q -p aero-tensor --test kernel_equivalence --test force_scalar_env
 echo "==> tier-1: scalar-fallback pass (AERO_FORCE_SCALAR=1)"
 AERO_FORCE_SCALAR=1 cargo test -q -p aero-tensor
 
-echo "==> tier-1: streaming allocation gate (workspace pool, zero misses)"
+echo "==> tier-1: allocation gates (streaming zero misses, bounded scoring memory)"
 cargo test -q -p bench --test alloc_streaming
+cargo test -q -p aero-core --test score_memory
 
 echo "==> tier-1: overload smoke (burst admission, shedding, ladder)"
 cargo test -q -p aero-core --test overload
