@@ -30,8 +30,7 @@ use aero_core::fleet::{FleetConfig, FleetCoordinator, ShardAssignment, ShardFact
 use aero_core::online::{DegradePolicy, OnlineAero};
 use aero_core::wal::{FsyncPolicy, WalConfig, WalWriter};
 use aero_core::{
-    Aero, AeroConfig, ChaosHook, Detector, FallbackScorer, LadderLevel, OverloadPolicy,
-    ScoreMode, StreamGovernor,
+    Aero, AeroConfig, Detector, FallbackScorer, LadderLevel, OverloadPolicy, StreamGovernor,
 };
 use aero_datagen::SyntheticConfig;
 use aero_evt::PotConfig;
@@ -86,34 +85,12 @@ struct Report {
     fit_stage1: StageReport,
     score_window: StageReport,
     e2e_detect: StageReport,
-    batched_inference: BatchedReport,
     streaming_allocs: AllocReport,
     memory_at_scale: MemoryAtScaleReport,
     wal_overhead: WalReport,
     degradation_ladder: LadderReport,
     fleet_scaling: FleetScalingReport,
     migration_pause: MigrationPauseReport,
-}
-
-/// Batched cross-star Stage-1 (one stacked `(N·W)×d` GEMM per layer) vs the
-/// per-star path (N small GEMMs + tape bookkeeping) over the same streamed
-/// frames. The per-star arm installs a no-op `ChaosHook`, which is what
-/// routes Stage-1 through the per-star tape path. Both runs are
-/// single-threaded, so the speedup is the GEMM shape
-/// and the tape-free forward, not parallelism — it is meaningful on any
-/// host. `stage1` rows force `ScoreMode::Stage1` to isolate the rewritten
-/// path; `full` rows run the whole push (Stage-2 GCN included) to show the
-/// end-to-end effect.
-#[derive(Serialize)]
-struct BatchedReport {
-    stars: usize,
-    frames_per_sample: usize,
-    per_star_stage1_secs_per_frame: f64,
-    batched_stage1_secs_per_frame: f64,
-    stage1_speedup: f64,
-    per_star_full_secs_per_frame: f64,
-    batched_full_secs_per_frame: f64,
-    full_speedup: f64,
 }
 
 /// Fleet-coordinator streaming throughput vs shard count (one pool shard
@@ -507,45 +484,6 @@ fn main() {
     let ladder_sr = ladder_cost(LadderLevel::SrFallback);
     let ladder_hold = ladder_cost(LadderLevel::HoldLast);
 
-    // --- Batched cross-star Stage-1 vs per-star over the same streamed
-    // frames, single thread (the speedup is the stacked GEMM shape and the
-    // tape-free forward, not parallelism). Stage1 modes isolate the
-    // rewritten path; the full rows add the (unchanged) Stage-2 GCN. ---
-    let span = frames.last().map_or(1.0, |f| f.0) - frames.first().map_or(0.0, |f| f.0) + 1.0;
-    let stage1_modes = vec![ScoreMode::Stage1; n];
-    let stream_cost = |batched: bool, modes: Option<&[ScoreMode]>| {
-        let mut online = fresh_online();
-        if !batched {
-            online.set_chaos_hook(Some(ChaosHook::new(|_| {})));
-        }
-        let mut offset = 0.0;
-        time_secs(reps, || {
-            for (ts, values) in &frames {
-                match modes {
-                    Some(m) => online.push_with_modes(*ts + offset, values, m).unwrap(),
-                    None => online.push(*ts + offset, values).unwrap(),
-                };
-            }
-            offset += span;
-        }) / frames.len().max(1) as f64
-    };
-    let batched_report = {
-        let per_star_stage1 = stream_cost(false, Some(&stage1_modes));
-        let batched_stage1 = stream_cost(true, Some(&stage1_modes));
-        let per_star_full = stream_cost(false, None);
-        let batched_full = stream_cost(true, None);
-        BatchedReport {
-            stars: n,
-            frames_per_sample: frames.len(),
-            per_star_stage1_secs_per_frame: per_star_stage1,
-            batched_stage1_secs_per_frame: batched_stage1,
-            stage1_speedup: speedup_ratio(per_star_stage1, batched_stage1),
-            per_star_full_secs_per_frame: per_star_full,
-            batched_full_secs_per_frame: batched_full,
-            full_speedup: speedup_ratio(per_star_full, batched_full),
-        }
-    };
-
     // --- Steady-state allocation profile of the streaming scoring path
     // (single thread; pool warm-up is two full passes over the frames). ---
     let streaming_allocs = {
@@ -812,7 +750,6 @@ fn main() {
         fit_stage1: stage(fit_1t, fit_nt),
         score_window: stage(score_1t, score_nt),
         e2e_detect: stage(e2e_1t, e2e_nt),
-        batched_inference: batched_report,
         streaming_allocs,
         memory_at_scale,
         wal_overhead: WalReport {

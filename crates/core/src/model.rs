@@ -43,17 +43,13 @@ pub enum ScoreMode {
     Skip,
 }
 
-/// Fault-injection hook for chaos testing: called with the variate index at
-/// the top of every supervised per-variate work item (Stage-1 training
-/// shards and supervised scoring). The crash-recovery suite installs hooks
-/// that panic or stall for chosen stars to prove isolation; production
-/// leaves it unset, where it costs one `Option` check.
-///
-/// An installed hook is also what routes Stage-1 scoring through the
-/// per-star tape path instead of the batched cross-star forward (the
-/// batched forward has no per-star failure boundary to fire it at). A
-/// no-op hook (`ChaosHook::new(|_| {})`) therefore selects the per-star
-/// path as a reference oracle without injecting any fault.
+/// Fault-injection hook for chaos testing: called with the variate index
+/// before that star's Stage-1 work — per star inside each Stage-1 training
+/// shard, and per star as scoring stacks its window into the batched pass
+/// (again for each star the per-star fallback re-runs alone). The
+/// crash-recovery suite installs hooks that panic or stall for chosen stars
+/// to prove isolation on the scoring path production runs; production leaves
+/// it unset, where it costs one `Option` check per star.
 #[derive(Clone)]
 pub struct ChaosHook(Arc<dyn Fn(usize) + Send + Sync>);
 
@@ -82,6 +78,34 @@ struct SupervisionCell {
     /// Per-variate failures recorded by the supervised scoring path; slot
     /// `v` is `Some` iff variate `v`'s row was zero-filled.
     failures: Mutex<Vec<Option<ShardFailure>>>,
+}
+
+impl SupervisionCell {
+    /// Locks the failure slots, recovering from a poisoned lock (every
+    /// write is a single slot store, so no partial update can be seen).
+    fn lock_failures(&self) -> std::sync::MutexGuard<'_, Vec<Option<ShardFailure>>> {
+        self.failures.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Scores star `v` as a batch of one under its supervisor unit and lands
+    /// its error row in `e`; a failure leaves the row zero and is recorded.
+    fn score_alone(
+        &self,
+        v: usize,
+        e: &mut Matrix,
+        y: &Matrix,
+        reconstruct: impl Fn(&[usize]) -> DetectorResult<Matrix>,
+    ) {
+        let star = std::slice::from_ref(&v);
+        match self.sup.run(v, || reconstruct(star)) {
+            Ok(recon) => write_errors(e, y, star, &recon),
+            Err(failure) => {
+                if let Some(slot) = self.lock_failures().get_mut(v) {
+                    *slot = Some(failure);
+                }
+            }
+        }
+    }
 }
 
 /// Recycled `Vec` spines for the streaming score hot path (the matrix
@@ -179,10 +203,11 @@ impl Aero {
         self.chaos_hook = hook;
     }
 
-    /// Arms supervised scoring: until [`Aero::end_supervised`], the
-    /// per-variate scoring path runs each star under `supervisor` unit `v`
-    /// (panic capture, deadline, retry, breaker) and zero-fills the row on
-    /// failure instead of propagating. Any previous context is discarded, so
+    /// Arms supervised scoring: until [`Aero::end_supervised`], Stage-1
+    /// scoring isolates each star under `supervisor` unit `v` (panic
+    /// capture, deadline, retry, breaker; see [`Aero::window_errors_batched`])
+    /// and zero-fills a failed star's row instead of propagating — adapter
+    /// heads included. Any previous context is discarded, so
     /// a retried pass that panicked mid-flight starts from a clean slate.
     pub(crate) fn begin_supervised(&mut self, supervisor: Arc<Supervisor>, num_variates: usize) {
         let mut failures = std::mem::take(&mut self.scratch_lock().failures);
@@ -265,6 +290,8 @@ impl Aero {
     /// error row. Identity heads (never trained) are skipped outright —
     /// `e − 0.0` would flip `−0.0` rows, and the skip is what keeps
     /// adapter-capable but untouched stars bitwise on the pinned path.
+    /// Stars whose supervised Stage-1 failed keep their zero row: it feeds
+    /// every neighbour's Stage-2 graph, which must see the star as absent.
     fn apply_adapters(
         &self,
         scaled: &MultivariateSeries,
@@ -282,8 +309,11 @@ impl Aero {
         let y = scaled.window(end, omega)?;
         let mut latent = vec![0.0f32; adapters.rank()];
         let mut pred = vec![0.0f32; omega];
+        let failures = self.supervision.as_ref().map(SupervisionCell::lock_failures);
         for v in 0..e.rows() {
-            if skip.is_some_and(|s| s.get(v).copied().unwrap_or(false)) {
+            if skip.is_some_and(|s| s.get(v).copied().unwrap_or(false))
+                || failures.as_ref().is_some_and(|f| f.get(v).is_some_and(Option::is_some))
+            {
                 continue;
             }
             let Some(head) = adapters.head(v) else { continue };
@@ -305,11 +335,9 @@ impl Aero {
     /// transformer — checked *before* the chaos hook and the supervisor, so
     /// a skipped star costs nothing and leaves its breaker state untouched.
     ///
-    /// With univariate input, scoring takes the batched cross-star forward
-    /// ([`Aero::window_errors_batched`]) unless a [`ChaosHook`] is
-    /// installed: an installed hook routes it through the per-star tape
-    /// path, which fires the hook per star and isolates per-star failures.
-    /// The two paths are bitwise identical (tier-1 gated).
+    /// With univariate input, Stage-1 has one scoring path: the batched
+    /// cross-star forward ([`Aero::window_errors_batched`]), which also
+    /// isolates per-star failures when scoring runs supervised.
     fn window_errors_backbone(
         &self,
         scaled: &MultivariateSeries,
@@ -332,106 +360,54 @@ impl Aero {
         };
         let x = scaled.window(end, w)?;
         let (positions, deltas) = Self::window_times(scaled, end, w);
-        let n = scaled.num_variates();
 
         if self.config.univariate_input {
-            // Batched cross-star path: all active stars' windows stacked
-            // row-wise and run through one GEMM per layer. Bitwise identical
-            // to the per-star path (tier-1 gated), including under nominal
-            // supervision — supervision adds no data flow when nothing
-            // fails, and the batched forward has no per-star failure
-            // boundary anyway (an error fails the whole frame). Chaos tests
-            // need per-star fault isolation, so an installed hook keeps the
-            // per-star path.
-            if self.chaos_hook.is_none() {
-                return self.window_errors_batched(temporal, &x, &y, &positions, &deltas, skip);
-            }
-            // Each variate owns an independent tape over a shared read-only
-            // store — embarrassingly parallel. Rows land by variate index,
-            // so the result is order-deterministic.
-            let hook = self.chaos_hook.clone();
-            let score_one = |v: usize| -> DetectorResult<Vec<f32>> {
-                if is_skipped(v) {
-                    return Ok(vec![0.0; omega]);
-                }
-                if let Some(hook) = &hook {
-                    hook.fire(v);
-                }
-                let long = Matrix::col_vector(x.row(v));
-                let short = Matrix::col_vector(y.row(v));
-                let mut g = Graph::new();
-                let out =
-                    temporal.reconstruct(&mut g, &self.store, &long, &short, &positions, &deltas)?;
-                let recon = g.value(out)?;
-                Ok((0..omega).map(|t| y.get(v, t) - recon.get(t, 0)).collect())
-            };
-            let mut e = Matrix::zeros(n, omega);
-            if let Some(cell) = &self.supervision {
-                // Supervised (online) path: each star runs under its own
-                // supervisor unit; a failure zero-fills that star's row and
-                // is recorded for the caller, the other stars are untouched.
-                // When nothing fails, rows are bitwise identical to the
-                // unsupervised path — supervision adds no data flow.
-                let rows: Vec<Option<Vec<f32>>> = aero_parallel::parallel_map_range(n, |v| {
-                    if is_skipped(v) {
-                        // Shed star: zero row, no supervisor involvement —
-                        // the breaker must not see a synthetic success.
-                        return None;
-                    }
-                    match cell.sup.run(v, || score_one(v)) {
-                        Ok(row) => Some(row),
-                        Err(failure) => {
-                            let mut failures =
-                                cell.failures.lock().unwrap_or_else(|e| e.into_inner());
-                            if let Some(slot) = failures.get_mut(v) {
-                                *slot = Some(failure);
-                            }
-                            None
-                        }
-                    }
-                });
-                for (v, row) in rows.into_iter().enumerate() {
-                    if let Some(row) = row {
-                        e.row_mut(v).copy_from_slice(&row);
-                    }
-                }
-            } else {
-                // Batch path: a panic becomes a typed error for the caller
-                // (never an unwind across the pool), and any per-variate
-                // error fails the whole batch as before.
-                let rows = aero_parallel::supervised_map_range(n, score_one);
-                for (v, row) in rows.into_iter().enumerate() {
-                    let row = row.map_err(DetectorError::from)??;
-                    e.row_mut(v).copy_from_slice(&row);
-                }
-            }
-            Ok(e)
-        } else {
-            let long = x.transpose(); // W × N tokens
-            let short = y.transpose();
-            let mut g = Graph::new();
-            let out =
-                temporal.reconstruct(&mut g, &self.store, &long, &short, &positions, &deltas)?;
-            let recon = g.value(out)?; // ω × N
-            let mut e = Matrix::zeros(n, omega);
-            for v in 0..n {
-                if is_skipped(v) {
-                    continue; // whole-frame transformer ran anyway; drop the row
-                }
-                for t in 0..omega {
-                    e.set(v, t, y.get(v, t) - recon.get(t, v));
-                }
-            }
-            Ok(e)
+            return self.window_errors_batched(temporal, &x, &y, &positions, &deltas, skip);
         }
+        let n = scaled.num_variates();
+        let long = x.transpose(); // W × N tokens
+        let short = y.transpose();
+        let mut g = Graph::new();
+        let out = temporal.reconstruct(&mut g, &self.store, &long, &short, &positions, &deltas)?;
+        let recon = g.value(out)?; // ω × N
+        let mut e = Matrix::zeros(n, omega);
+        for v in 0..n {
+            if is_skipped(v) {
+                continue; // whole-frame transformer ran anyway; drop the row
+            }
+            for t in 0..omega {
+                e.set(v, t, y.get(v, t) - recon.get(t, v));
+            }
+        }
+        Ok(e)
     }
 
-    /// Batched Stage-1 error matrix: the univariate path's per-star windows
-    /// stacked into one `(A·W) × 1` / `(A·ω) × 1` pair (A = active stars)
-    /// and reconstructed in a single tape-free forward pass — one GEMM per
-    /// layer instead of A small ones. Results are de-interleaved back into
-    /// per-star rows of `E`. Skipped stars keep zero rows and never enter
-    /// the stack, matching the per-star path exactly.
+    /// Univariate Stage-1 error matrix: the active stars' windows stacked
+    /// row-wise into one `(A·W) × 1` / `(A·ω) × 1` pair — the chaos hook
+    /// firing for each star as it is stacked — and reconstructed in a single
+    /// tape-free forward, one GEMM per layer instead of A small ones.
+    /// Skipped stars keep zero rows and never enter the stack.
+    ///
+    /// Unsupervised (offline) scoring needs no fallback: a panic unwinds to
+    /// the window's boundary in [`Aero::for_each_window`], which reports it
+    /// as that window's typed error. Supervised (streaming) scoring isolates
+    /// each star under its supervisor unit `v`:
+    ///
+    /// * a star whose breaker is open never enters the batch — it gets its
+    ///   one `run` per frame as a batch of one, which short-circuits it or
+    ///   admits its half-open probe;
+    /// * the batched pass runs inside a panic boundary and, with a policy
+    ///   deadline `d`, a budget of `d ×` its star count (the sum of the
+    ///   per-star budgets it replaces; no clock is read without one). A
+    ///   panic or a blown budget re-runs each batched star alone under
+    ///   `run(v, …)`: a failing star gets a zero row and a recorded failure,
+    ///   every other row is bitwise what the batch gives. The batched
+    ///   attempt is not a supervisor unit; only the re-runs are counted;
+    /// * a successful batch resets each batched star's consecutive-failure
+    ///   count, as a first-try `run` does;
+    /// * a typed error is a shape or structure bug and propagates;
+    ///   non-finite rows are not re-run — a batch of one would reproduce
+    ///   them bit for bit — and the online layer clamps and counts them.
     fn window_errors_batched(
         &self,
         temporal: &TemporalModule,
@@ -441,27 +417,57 @@ impl Aero {
         deltas: &[f32],
         skip: Option<&[bool]>,
     ) -> DetectorResult<Matrix> {
-        let n = x.rows();
-        let w = x.cols();
-        let omega = y.cols();
+        let (n, w, omega) = (x.rows(), x.cols(), y.cols());
         let is_skipped = |v: usize| skip.is_some_and(|s| s.get(v).copied().unwrap_or(false));
-        let stars: Vec<usize> = (0..n).filter(|&v| !is_skipped(v)).collect();
+        // Block `b` of the result is star `stars[b]`'s reconstruction,
+        // bitwise the same whatever else shares the batch.
+        let reconstruct = |stars: &[usize]| {
+            let mut long = Matrix::zeros(stars.len() * w, 1);
+            let mut short = Matrix::zeros(stars.len() * omega, 1);
+            for (b, &v) in stars.iter().enumerate() {
+                if let Some(hook) = &self.chaos_hook {
+                    hook.fire(v);
+                }
+                long.as_mut_slice()[b * w..(b + 1) * w].copy_from_slice(x.row(v));
+                short.as_mut_slice()[b * omega..(b + 1) * omega].copy_from_slice(y.row(v));
+            }
+            temporal.reconstruct_batched(&self.store, &long, &short, positions, deltas, stars.len())
+        };
         let mut e = Matrix::zeros(n, omega);
+        let cell = self.supervision.as_ref();
+        let mut stars = Vec::with_capacity(n);
+        for v in (0..n).filter(|&v| !is_skipped(v)) {
+            match cell {
+                Some(cell) if cell.sup.is_open(v) => cell.score_alone(v, &mut e, y, reconstruct),
+                _ => stars.push(v),
+            }
+        }
         if stars.is_empty() {
             return Ok(e);
         }
-        let blocks = stars.len();
-        let mut long = Matrix::zeros(blocks * w, 1);
-        let mut short = Matrix::zeros(blocks * omega, 1);
-        for (b, &v) in stars.iter().enumerate() {
-            long.as_mut_slice()[b * w..(b + 1) * w].copy_from_slice(x.row(v));
-            short.as_mut_slice()[b * omega..(b + 1) * omega].copy_from_slice(y.row(v));
-        }
-        let recon =
-            temporal.reconstruct_batched(&self.store, &long, &short, positions, deltas, blocks)?;
-        for (b, &v) in stars.iter().enumerate() {
-            for t in 0..omega {
-                e.set(v, t, y.get(v, t) - recon.get(b * omega + t, 0));
+        let Some(cell) = cell else {
+            write_errors(&mut e, y, &stars, &reconstruct(&stars)?);
+            return Ok(e);
+        };
+        let budget = cell.sup.policy().deadline.map(|d| {
+            let per_batch = d.saturating_mul(u32::try_from(stars.len()).unwrap_or(u32::MAX));
+            (per_batch, std::time::Instant::now())
+        });
+        let batched =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reconstruct(&stars)));
+        let late = budget.is_some_and(|(per_batch, start)| start.elapsed() > per_batch);
+        match batched {
+            Ok(Ok(recon)) if !late => {
+                for &v in &stars {
+                    cell.sup.record_success(v);
+                }
+                write_errors(&mut e, y, &stars, &recon);
+            }
+            Ok(Err(err)) => return Err(err),
+            _ => {
+                for &v in &stars {
+                    cell.score_alone(v, &mut e, y, reconstruct);
+                }
             }
         }
         Ok(e)
@@ -978,6 +984,17 @@ fn catch_window<R>(index: usize, f: impl FnOnce() -> DetectorResult<R>) -> Detec
             message: aero_parallel::panic_message(payload),
         }))
     })
+}
+
+/// Lands `E = Y − Ŷ₁` in row `stars[b]` of `e` for each block `b` of the
+/// batched reconstruction `recon`.
+fn write_errors(e: &mut Matrix, y: &Matrix, stars: &[usize], recon: &Matrix) {
+    let omega = y.cols();
+    for (b, &v) in stars.iter().enumerate() {
+        for t in 0..omega {
+            e.set(v, t, y.get(v, t) - recon.get(b * omega + t, 0));
+        }
+    }
 }
 
 /// Min-folds one window row of `|·|` values into row `v` of `scores` from

@@ -843,12 +843,14 @@ impl OnlineAero {
 
     /// Scores the newest buffered frame, guaranteeing finite output.
     ///
-    /// The whole pass runs supervised: each star is its own supervisor unit
-    /// (a panicking, wedged, or erroring star gets a suppressed verdict and
-    /// an escalated status while the other stars score normally), and the
-    /// frame-level pass is wrapped once more so even a failure outside the
-    /// per-variate fan-out (e.g. the GCN stage) suppresses the frame's
-    /// verdicts instead of unwinding through `push`.
+    /// The whole pass runs supervised: each star is its own supervisor unit.
+    /// Stage-1 runs the stars as one batch; if that batch panics or blows
+    /// its budget, each star re-runs alone under its unit, so a panicking,
+    /// wedged, or erroring star gets a suppressed verdict and an escalated
+    /// status while the other stars score bitwise as the batch would have.
+    /// The frame-level pass is wrapped once more so even a failure outside
+    /// Stage-1 (e.g. the GCN stage) suppresses the frame's verdicts instead
+    /// of unwinding through `push`.
     fn score_newest(&mut self, modes: Option<&[ScoreMode]>) -> DetectorResult<Vec<StarVerdict>> {
         let n = self.num_variates;
         let series = self.buffer_series()?;
@@ -856,7 +858,7 @@ impl OnlineAero {
         let sup = Arc::clone(&self.supervisor);
         let model = &mut self.model;
         // No deadline on the whole-frame unit: the policy budget is a
-        // per-variate figure, and the per-variate path enforces it.
+        // per-star figure, which Stage-1 enforces per batch and per star.
         let outcome = sup.run_with(n + 1, None, true, || {
             model.begin_supervised(Arc::clone(&sup), n);
             let scores = match modes {

@@ -305,6 +305,16 @@ impl Supervisor {
         }
     }
 
+    /// Records a success for `unit` earned outside [`run`](Self::run) — a
+    /// batched pass that covered it and several other units: zeroes its
+    /// consecutive-failure count, as a first-try `run` success does. Counts
+    /// nothing and leaves an open breaker open.
+    pub(crate) fn record_success(&self, unit: usize) {
+        if let Some(u) = self.units.get(unit) {
+            u.consecutive.store(0, Ordering::Relaxed);
+        }
+    }
+
     /// Snapshot of one unit's breaker (all-default for out-of-range units).
     pub fn unit_state(&self, unit: usize) -> BreakerState {
         self.units.get(unit).map_or_else(BreakerState::default, |u| BreakerState {

@@ -15,15 +15,20 @@
 //!   deadline is treated exactly like a panicking one (suppressed verdict,
 //!   escalating status, eventual breaker trip) instead of stalling the
 //!   frame.
+//!
+//! The chaos hook fires inside production's batched Stage-1 pass, so panic
+//! and deadline isolation are proven on the path every push takes: the
+//! failed batch re-runs each star alone under its own supervisor unit.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use aero_core::online::{FrameVerdict, OnlineAero, StarStatus};
 use aero_core::wal::{FsyncPolicy, WalConfig, WalWriter};
 use aero_core::{
-    load_model, save_model, Aero, AeroConfig, ChaosHook, DegradePolicy, SupervisorPolicy,
+    load_model, save_model, Aero, AeroConfig, ChaosHook, DegradePolicy, ScoreMode,
+    SupervisorPolicy,
 };
 use aero_datagen::{FaultInjector, FaultPlan, SyntheticConfig};
 use aero_evt::PotConfig;
@@ -371,4 +376,102 @@ fn clean_supervised_runs_are_bitwise_reproducible_across_thread_counts() {
     assert_eq!(a, b, "supervised scoring must stay bitwise deterministic");
     assert_eq!(health_a, health_b);
     assert_eq!(thr_a, thr_b);
+}
+
+/// Trains a tiny model with rank-2 adapter heads (identity until adapted)
+/// and checkpoints it.
+fn adapter_checkpoint() -> std::path::PathBuf {
+    let path = std::env::temp_dir()
+        .join(format!("aero_crash_recovery_adapter_model_{}.json", std::process::id()));
+    let ds = night();
+    let cfg = AeroConfig { max_epochs: 2, adapter_rank: 2, ..AeroConfig::tiny() };
+    let mut model = Aero::new(cfg).expect("valid tiny adapter config");
+    use aero_core::Detector;
+    model.fit(&ds.train).expect("training the tiny adapter model");
+    save_model(&model, &path).expect("checkpointing the tiny adapter model");
+    path
+}
+
+/// Production-path isolation: with a hook that panics for star k, every
+/// other star's verdict score is bitwise the score it gets when k is shed
+/// (`ScoreMode::Skip`) — through the frames where the failed batch falls
+/// back to per-star runs and past the breaker trip. A failed star's error
+/// row stays zero even when k has a trained adapter head, so the
+/// neighbours' Stage-2 graph sees k exactly as absent.
+#[test]
+fn panicking_star_scores_its_neighbours_as_if_it_were_shed() {
+    silence_injected_panics();
+    let ds = night();
+    let n = ds.num_variates();
+    let k = 2;
+    let path = adapter_checkpoint();
+    let online = || {
+        let model = load_model(&path).expect("loading the adapter checkpoint");
+        OnlineAero::with_policy(model, &ds.train, PotConfig::default(), chaos_policy())
+            .expect("calibration")
+    };
+    let mut shed_modes = vec![ScoreMode::Full; n];
+    shed_modes[k] = ScoreMode::Skip;
+    let base = *ds.train.timestamps().last().unwrap();
+    for adapted in [false, true] {
+        let mut chaos = online();
+        let mut shed = online();
+        if adapted {
+            chaos.adapt_star(k).expect("adapting star k");
+            shed.adapt_star(k).expect("adapting star k");
+        }
+        chaos.set_chaos_hook(Some(ChaosHook::new(move |v| {
+            if v == k {
+                panic!("chaos: injected panic for star {v}");
+            }
+        })));
+        for t in 0..8 {
+            let frame: Vec<f32> = (0..n).map(|v| ds.test.get(v, t)).collect();
+            let ts = base + 1.0 + t as f64;
+            let failed = chaos.push(ts, &frame).expect("a panicking star must not error");
+            let skipped = shed.push_with_modes(ts, &frame, &shed_modes).expect("shed push");
+            assert_eq!(failed.stars[k].score, 0.0);
+            for v in (0..n).filter(|&v| v != k) {
+                assert_eq!(
+                    failed.stars[v].score.to_bits(),
+                    skipped.stars[v].score.to_bits(),
+                    "adapted={adapted}, frame {t}: star {v} saw the failed star"
+                );
+            }
+        }
+        assert!(chaos.supervisor().is_open(k), "adapted={adapted}: breaker never tripped");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A star that fails in one frame and scores in the next is back to a clean
+/// record: the successful batched pass zeroes its consecutive-failure count,
+/// as a first-try supervised run would, and its breaker stays closed.
+#[test]
+fn star_that_recovers_next_frame_clears_its_failure_count() {
+    silence_injected_panics();
+    let ds = night();
+    let n = ds.num_variates();
+    let k = 1;
+    let mut online = fresh_online();
+    let failing = Arc::new(AtomicBool::new(true));
+    let failing_in_hook = Arc::clone(&failing);
+    online.set_chaos_hook(Some(ChaosHook::new(move |v| {
+        if v == k && failing_in_hook.load(Ordering::SeqCst) {
+            panic!("chaos: one-frame failure for star {v}");
+        }
+    })));
+    let base = *ds.train.timestamps().last().unwrap();
+    let frame = |t: usize| -> Vec<f32> { (0..n).map(|v| ds.test.get(v, t)).collect() };
+
+    let verdict = online.push(base + 1.0, &frame(0)).expect("failing frame");
+    assert_eq!(verdict.stars[k].score, 0.0);
+    assert_eq!(online.supervisor().unit_state(k).consecutive, 1);
+
+    failing.store(false, Ordering::SeqCst);
+    let verdict = online.push(base + 2.0, &frame(1)).expect("recovered frame");
+    assert!(verdict.stars[k].score.is_finite());
+    let state = online.supervisor().unit_state(k);
+    assert_eq!(state.consecutive, 0, "a success must clear the failure run: {state:?}");
+    assert!(!state.open);
 }

@@ -13,8 +13,10 @@
 #      input, crash-safe persistence) — explicitly, so a filtered test run
 #      can't silently skip it
 #   4. crash-recovery chaos suite: kill-and-resume must be bitwise
-#      identical to an uninterrupted run; panicking/deadline-blown shards
-#      quarantine their star while the rest of the frame keeps streaming;
+#      identical to an uninterrupted run; panicking/deadline-blown stars
+#      fail the batched Stage-1 pass, fall back to per-star runs and
+#      quarantine while the rest of the frame keeps streaming, bitwise as
+#      if the failed star were shed;
 #      plus the CLI kill/resume suite: `aero stream` and `aero stream
 #      --shards` killed with --kill-after and finished with --resume must
 #      print the uninterrupted night's summary, with replayed + offered
@@ -50,11 +52,11 @@
 #      uninterrupted night), plus a 4-shard CLI smoke: --migrate-live with a
 #      mid-night simulated crash, then --resume to finish the night, then
 #      `aero wal verify` scrubbing every surviving shard directory
-#  12. batched equivalence: the batched cross-star Stage-1 path (the only
-#      production inference path) is bitwise identical to the per-star tape
-#      path that an installed chaos hook selects, across star counts, thread
-#      counts, kernel backends, and score-mode mixes; plus a 2-shard governed
-#      CLI stream smoke
+#  12. batched equivalence: the batched cross-star Stage-1 forward (the only
+#      Stage-1 scoring path) is bitwise identical to the tape forward, per
+#      block of a perturbed module and per star of a trained detector scored
+#      alone vs in the batch, across star counts, thread counts and kernel
+#      backends; plus a 2-shard governed CLI stream smoke
 #  13. resident service: wire-codec adversarial property suite (garbage,
 #      torn frames, flipped bits, hostile lengths — typed errors, bounded
 #      allocation), then real-process end-to-end runs of `aero serve` +
@@ -83,7 +85,7 @@ cargo test -q --release --offline --manifest-path vendor/serde_json/Cargo.toml -
 echo "==> tier-1: streaming robustness"
 cargo test -q -p aero-core --test fault_injection --test persistence_robustness
 
-echo "==> tier-1: crash recovery"
+echo "==> tier-1: crash recovery (chaos on the batched production path)"
 cargo test -q -p aero-core --test crash_recovery
 cargo test -q -p aero-cli --test stream_resume
 
@@ -133,7 +135,7 @@ for shard_dir in "$fleet_tmp"/wal_migrate/shard-*; do
         wal verify "$shard_dir" > /dev/null
 done
 
-echo "==> tier-1: batched equivalence (batched == hook-selected per-star path)"
+echo "==> tier-1: batched equivalence (batched == tape forward)"
 cargo test -q -p aero-core --test batched
 cargo run --release -q -p aero-cli --bin aero -- stream \
     --data "$fleet_tmp/data" --shards 2 --burst 17 \
