@@ -1,5 +1,6 @@
 //! Fig. 10 — parameter sensitivity: short window ω, head count, encoder
-//! layers, and long window W, with F1 and train/test time per setting.
+//! layers, and long window W, with F1 and train/calibrate/test time per
+//! setting.
 //!
 //! Usage: `cargo run -p bench --release --bin fig10_sensitivity`
 //! (runs on SyntheticMiddle; `--paper` sweeps the paper's exact grids)
@@ -16,15 +17,19 @@ fn main() {
 
     let sweep = |name: &str, configs: Vec<(String, aero_core::AeroConfig)>| {
         println!("\nFig. 10 — sensitivity to {name}\n");
-        println!("{:<12} {:>8} {:>12} {:>12}", name, "F1 (%)", "train (s)", "test (s)");
+        println!(
+            "{:<12} {:>8} {:>12} {:>14} {:>12}",
+            name, "F1 (%)", "train (s)", "calibrate (s)", "test (s)"
+        );
         for (label, cfg) in configs {
             match Aero::new(cfg) {
                 Ok(mut model) => match run_one(&mut model, &ds) {
                     Ok(out) => println!(
-                        "{:<12} {:>8.2} {:>12.1} {:>12.1}",
+                        "{:<12} {:>8.2} {:>12.1} {:>14.1} {:>12.1}",
                         label,
                         out.metrics.f1 * 100.0,
                         out.timing.train_secs,
+                        out.timing.calibrate_secs,
                         out.timing.test_secs
                     ),
                     Err(e) => println!("{label:<12} FAILED: {e}"),

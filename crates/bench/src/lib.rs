@@ -95,12 +95,13 @@ pub fn run_one(
     let out = run_detection(detector, dataset, paper_pot())?;
     let auc = aero_eval::roc_auc(&out.scores, &dataset.test_labels, detector.warmup());
     eprintln!(
-        "    P={:.2}% R={:.2}% F1={:.2}% AUC={:.3}  (train {:.1}s, test {:.1}s)",
+        "    P={:.2}% R={:.2}% F1={:.2}% AUC={:.3}  (train {:.1}s, calibrate {:.1}s, test {:.1}s)",
         out.metrics.precision * 100.0,
         out.metrics.recall * 100.0,
         out.metrics.f1 * 100.0,
         auc,
         out.timing.train_secs,
+        out.timing.calibrate_secs,
         out.timing.test_secs
     );
     Ok(out)

@@ -199,7 +199,7 @@ pub fn detect(args: &Args) -> Result<(), String> {
 
     let mut summary = format!(
         "method: {}\nthreshold: {:.6} (POT level {}, q {}, gamma {:.4}, {} peaks)\n\
-         train time: {:.2}s\ntest time: {:.2}s\nflagged points: {}\n",
+         train time: {:.2}s\ncalibrate time: {:.2}s\ntest time: {:.2}s\nflagged points: {}\n",
         detector.name(),
         outcome.threshold.threshold,
         pot.level,
@@ -207,6 +207,7 @@ pub fn detect(args: &Args) -> Result<(), String> {
         outcome.threshold.gamma,
         outcome.threshold.peaks,
         outcome.timing.train_secs,
+        outcome.timing.calibrate_secs,
         outcome.timing.test_secs,
         flags.count(),
     );

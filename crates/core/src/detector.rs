@@ -98,7 +98,9 @@ pub type DetectorResult<T> = Result<T, DetectorError>;
 /// the nominal series; `score` produces per-point anomaly scores for any
 /// series with the same variate count (larger = more anomalous). The first
 /// `warmup()` columns of a scored series may be unscored (zero) — the
-/// pipeline excludes them from POT calibration.
+/// pipeline excludes them from POT calibration. `score_from` is `score` for
+/// a caller that reads only a series' tail: POT calibration reads only the
+/// held-out columns of the training series.
 pub trait Detector {
     /// Display name used in result tables (e.g. "AERO", "SR").
     fn name(&self) -> String;
@@ -108,6 +110,16 @@ pub trait Detector {
 
     /// Scores every point of `series`; returns an `N × len` matrix.
     fn score(&mut self, series: &MultivariateSeries) -> DetectorResult<Matrix>;
+
+    /// Scores `series` for a caller that reads only columns `first..`:
+    /// returns an `N × len` matrix whose columns `first..` are bitwise those
+    /// of [`score`](Self::score); earlier columns are unspecified. A
+    /// detector may skip work that only earlier columns need. The default
+    /// scores everything.
+    fn score_from(&mut self, series: &MultivariateSeries, first: usize) -> DetectorResult<Matrix> {
+        let _ = first;
+        self.score(series)
+    }
 
     /// Number of leading columns without valid scores.
     fn warmup(&self) -> usize {
@@ -120,7 +132,11 @@ pub trait Detector {
 pub struct RunTiming {
     /// Wall-clock training time in seconds.
     pub train_secs: f64,
-    /// Wall-clock test scoring time in seconds (includes calibration scoring).
+    /// Wall-clock threshold calibration in seconds: scoring the training
+    /// series (AERO scores only the windows the held-out tail needs, the
+    /// baselines the whole series) plus the POT fit.
+    pub calibrate_secs: f64,
+    /// Wall-clock scoring of the test series in seconds.
     pub test_secs: f64,
 }
 
@@ -147,7 +163,10 @@ const CALIBRATION_HOLDOUT: f64 = 0.2;
 ///    held-out tail (Eq. 18 uses training-instance scores; calibrating on
 ///    scores the model has *not* memorized keeps the EVT tail estimate
 ///    aligned with test-time score levels — the same validation-set POT
-///    calibration the reference implementations of OmniAnomaly/TranAD use);
+///    calibration the reference implementations of OmniAnomaly/TranAD use).
+///    The full series is scored so held-out columns keep their long-window
+///    context, but through [`Detector::score_from`], so a detector may skip
+///    the work only the fitted columns would need;
 /// 3. score the test split, threshold, point-adjust, compute metrics.
 pub fn run_detection(
     detector: &mut dyn Detector,
@@ -168,14 +187,19 @@ pub fn run_detection(
     let train_secs = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
-    // Score the full training series (so held-out columns keep their long
-    // window context), then calibrate only on the out-of-sample tail.
-    let calib_scores = detector.score(&dataset.train)?;
+    // Calibrate only on the out-of-sample tail.
     let calib_start = split
         .max(detector.warmup())
-        .min(calib_scores.cols().saturating_sub(1));
-    let mut calib: Vec<f32> =
-        Vec::with_capacity(calib_scores.rows() * (calib_scores.cols() - calib_start));
+        .min(train_len.saturating_sub(1));
+    let calib_scores = detector.score_from(&dataset.train, calib_start)?;
+    if calib_scores.cols() != train_len {
+        return Err(DetectorError::Invalid(format!(
+            "{} scored {} columns of a {train_len}-column training series",
+            detector.name(),
+            calib_scores.cols()
+        )));
+    }
+    let mut calib: Vec<f32> = Vec::with_capacity(calib_scores.rows() * (train_len - calib_start));
     for r in 0..calib_scores.rows() {
         calib.extend_from_slice(&calib_scores.row(r)[calib_start..]);
     }
@@ -183,9 +207,11 @@ pub fn run_detection(
     // too-short holdout) should still produce a comparable batch run rather
     // than abort the experiment. Online deployment uses the strict variant.
     let threshold = pot_threshold_lenient(&calib, pot);
+    let calibrate_secs = t1.elapsed().as_secs_f64();
 
+    let t2 = std::time::Instant::now();
     let scores = detector.score(&dataset.test)?;
-    let test_secs = t1.elapsed().as_secs_f64();
+    let test_secs = t2.elapsed().as_secs_f64();
 
     let pred = threshold_scores(&scores, threshold.threshold);
     let metrics = evaluate_point_adjusted(&pred, &dataset.test_labels);
@@ -193,7 +219,11 @@ pub fn run_detection(
         metrics,
         threshold,
         scores,
-        timing: RunTiming { train_secs, test_secs },
+        timing: RunTiming {
+            train_secs,
+            calibrate_secs,
+            test_secs,
+        },
     })
 }
 

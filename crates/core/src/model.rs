@@ -255,21 +255,18 @@ impl Aero {
         self.config.effective_short_window()
     }
 
-    /// Window positions/intervals for the long window ending at `end`.
+    /// Inter-observation intervals `Δ_t` for the long window ending at `end`.
     ///
     /// Positions are *window-relative* (`0..W`): every window sees the same
     /// positional ramp, so scoring positions beyond the training range stays
-    /// in-distribution. The irregular-sampling information enters through
-    /// the real inter-observation intervals `Δ_t` (Eq. 1's learnable phase
-    /// shift), which are taken from the actual timestamps.
-    fn window_times(series: &MultivariateSeries, end: usize, w: usize) -> (Vec<f32>, Vec<f32>) {
-        let start = end + 1 - w;
+    /// in-distribution, and the temporal module holds their embedding basis.
+    /// The irregular-sampling information enters through the real intervals
+    /// (Eq. 1's learnable phase shift), taken from the actual timestamps.
+    fn window_times(series: &MultivariateSeries, end: usize, w: usize) -> Vec<f32> {
         let ts = series.timestamps();
-        let positions: Vec<f32> = (0..w).map(|i| i as f32).collect();
-        let deltas: Vec<f32> = (start..=end)
+        (end + 1 - w..=end)
             .map(|t| if t == 0 { 0.0 } else { (ts[t] - ts[t - 1]) as f32 })
-            .collect();
-        (positions, deltas)
+            .collect()
     }
 
     /// Stage-1 error matrix for the window ending at `end`: the backbone's
@@ -359,16 +356,16 @@ impl Aero {
             return Ok(y);
         };
         let x = scaled.window(end, w)?;
-        let (positions, deltas) = Self::window_times(scaled, end, w);
+        let deltas = Self::window_times(scaled, end, w);
 
         if self.config.univariate_input {
-            return self.window_errors_batched(temporal, &x, &y, &positions, &deltas, skip);
+            return self.window_errors_batched(temporal, &x, &y, &deltas, skip);
         }
         let n = scaled.num_variates();
         let long = x.transpose(); // W × N tokens
         let short = y.transpose();
         let mut g = Graph::new();
-        let out = temporal.reconstruct(&mut g, &self.store, &long, &short, &positions, &deltas)?;
+        let out = temporal.reconstruct(&mut g, &self.store, &long, &short, &deltas)?;
         let recon = g.value(out)?; // ω × N
         let mut e = Matrix::zeros(n, omega);
         for v in 0..n {
@@ -413,7 +410,6 @@ impl Aero {
         temporal: &TemporalModule,
         x: &Matrix,
         y: &Matrix,
-        positions: &[f32],
         deltas: &[f32],
         skip: Option<&[bool]>,
     ) -> DetectorResult<Matrix> {
@@ -431,7 +427,7 @@ impl Aero {
                 long.as_mut_slice()[b * w..(b + 1) * w].copy_from_slice(x.row(v));
                 short.as_mut_slice()[b * omega..(b + 1) * omega].copy_from_slice(y.row(v));
             }
-            temporal.reconstruct_batched(&self.store, &long, &short, positions, deltas, stars.len())
+            temporal.reconstruct_batched(&self.store, &long, &short, deltas, stars.len())
         };
         let mut e = Matrix::zeros(n, omega);
         let cell = self.supervision.as_ref();
@@ -539,7 +535,7 @@ impl Aero {
             for &end in &ends {
                 let x = scaled.window(end, w)?;
                 let y = scaled.window(end, omega)?;
-                let (positions, deltas) = Self::window_times(scaled, end, w);
+                let deltas = Self::window_times(scaled, end, w);
                 self.store.zero_grads();
                 let mut window_loss = 0.0f64;
                 if self.config.univariate_input {
@@ -565,9 +561,8 @@ impl Aero {
                                     let long = Matrix::col_vector(x.row(v));
                                     let short = Matrix::col_vector(y.row(v));
                                     let mut g = Graph::new();
-                                    let out = temporal.reconstruct(
-                                        &mut g, store, &long, &short, &positions, &deltas,
-                                    )?;
+                                    let out =
+                                        temporal.reconstruct(&mut g, store, &long, &short, &deltas)?;
                                     let loss = g.mse_loss(out, &short)?;
                                     loss_sum += g.value(loss)?.scalar_value()? as f64;
                                     g.backward_into(loss, &mut grads)?;
@@ -586,8 +581,7 @@ impl Aero {
                     let long = x.transpose();
                     let short = y.transpose();
                     let mut g = Graph::new();
-                    let out = temporal
-                        .reconstruct(&mut g, &self.store, &long, &short, &positions, &deltas)?;
+                    let out = temporal.reconstruct(&mut g, &self.store, &long, &short, &deltas)?;
                     let loss = g.mse_loss(out, &short)?;
                     window_loss = g.value(loss)?.scalar_value()? as f64;
                     g.backward(loss, &mut self.store)?;
@@ -825,10 +819,16 @@ impl Aero {
     /// (mode-aware: `Full` stars take `|R|`, `Stage1` stars `|E|`, `Skip`
     /// stars are never folded), then zeroes unscored (warmup) columns and
     /// applies score smoothing. `modes = None` is an undegraded pass.
+    ///
+    /// Only columns `first..` must come out exact, so a window none of
+    /// whose columns those need is never scored (see
+    /// [`Aero::score_ends`]); earlier columns keep whatever the remaining
+    /// windows fold into them.
     fn score_pass(
         &mut self,
         series: &MultivariateSeries,
         modes: Option<&[ScoreMode]>,
+        first: usize,
     ) -> DetectorResult<Matrix> {
         if !self.trained {
             return Err(DetectorError::Invalid("call fit() first".into()));
@@ -848,7 +848,7 @@ impl Aero {
             modes.map(|m| m.iter().map(|mode| *mode == ScoreMode::Skip).collect());
         let run_stage2 = modes.is_none_or(|m| m.contains(&ScoreMode::Full));
         let omega = self.omega();
-        let mut ends = self.score_ends(scaled.len());
+        let mut ends = self.score_ends(scaled.len(), first);
         let mut scores = Matrix::full(n, scaled.len(), f32::INFINITY);
         let folded =
             self.for_each_window(&scaled, &ends, skip.as_deref(), run_stage2, |end, e, r| {
@@ -888,7 +888,19 @@ impl Aero {
     /// Each column is scored by up to two window contexts; the residuals
     /// are min-combined, so a concurrent-noise event clipped at one block
     /// boundary still gets fully reconstructed by the neighbouring context.
-    fn score_ends(&self, len: usize) -> Vec<usize> {
+    ///
+    /// A pass that must get only columns `first..` exact keeps the grid
+    /// where it is and drops the windows that reach no needed column:
+    ///
+    /// * a column's score is the min over the short windows covering it,
+    ///   which all end at or after it;
+    /// * a smoothed column (`score_smoothing > 1`) averages the columns up
+    ///   to half the smoothing width either side, so the needed columns
+    ///   start that much earlier;
+    /// * the dynamic-EWMA graph carries adjacency state from window to
+    ///   window, so every window's score depends on all earlier ones and
+    ///   the whole grid runs.
+    fn score_ends(&self, len: usize, first: usize) -> Vec<usize> {
         let w = self.config.window;
         let omega = self.omega();
         let stride = (omega / 2).max(1);
@@ -904,6 +916,10 @@ impl Aero {
         }
         if ends.last().copied() != Some(len - 1) {
             ends.push(len - 1);
+        }
+        if !self.graphs.is_stateful() {
+            let needed = first.saturating_sub(self.config.score_smoothing / 2);
+            ends.retain(|&end| end >= needed);
         }
         ends
     }
@@ -938,7 +954,7 @@ impl Aero {
         let omega = self.omega();
         let mut e_scores = Matrix::full(n, len, f32::INFINITY);
         let mut r_scores = Matrix::full(n, len, f32::INFINITY);
-        let ends = self.score_ends(len);
+        let ends = self.score_ends(len, 0);
         self.for_each_window(&scaled, &ends, None, true, |end, e, r| {
             let start = end + 1 - omega;
             for v in 0..n {
@@ -971,7 +987,7 @@ impl Aero {
         if modes.iter().all(|m| *m == ScoreMode::Full) {
             return self.score(series);
         }
-        self.score_pass(series, Some(modes))
+        self.score_pass(series, Some(modes), 0)
     }
 }
 
@@ -1121,12 +1137,11 @@ impl Aero {
         let residual: Vec<f32> = match &self.temporal {
             Some(temporal) => {
                 let x = scaled.window(end, w)?;
-                let (positions, deltas) = Self::window_times(&scaled, end, w);
+                let deltas = Self::window_times(&scaled, end, w);
                 let long = Matrix::col_vector(x.row(v));
                 let short = Matrix::col_vector(y.row(v));
                 let mut g = Graph::new();
-                let out = temporal
-                    .reconstruct(&mut g, &self.store, &long, &short, &positions, &deltas)?;
+                let out = temporal.reconstruct(&mut g, &self.store, &long, &short, &deltas)?;
                 let recon = g.value(out)?;
                 (0..omega).map(|t| y.get(v, t) - recon.get(t, 0)).collect()
             }
@@ -1333,7 +1348,11 @@ impl Detector for Aero {
     }
 
     fn score(&mut self, series: &MultivariateSeries) -> DetectorResult<Matrix> {
-        self.score_pass(series, None)
+        self.score_pass(series, None, 0)
+    }
+
+    fn score_from(&mut self, series: &MultivariateSeries, first: usize) -> DetectorResult<Matrix> {
+        self.score_pass(series, None, first)
     }
 
     fn warmup(&self) -> usize {

@@ -4,8 +4,12 @@
 //! variate: the encoder reads the long window `W` for context, the decoder
 //! reconstructs the short window `ω` through cross-attention, and a
 //! sigmoid-terminated FFN emits the normalized reconstruction `Ŷ₁`.
+//!
+//! Positions are window-relative (`0..W`), the same for every window, so the
+//! sin/cos basis of the time embedding's positional phase is built once, when
+//! the module is, and every forward pass reads it.
 
-use aero_nn::{Activation, DecoderLayer, EncoderLayer, Linear, TimeEmbedding};
+use aero_nn::{Activation, DecoderLayer, EncoderLayer, Linear, PositionBasis, TimeEmbedding};
 use aero_tensor::{Graph, Matrix, NodeId, ParamId, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,6 +30,10 @@ pub struct TemporalModule {
     out_hidden: Linear,
     out_proj: Linear,
     in_dim: usize,
+    /// Time-embedding basis of the long window, positions `0..W`.
+    long_basis: PositionBasis,
+    /// Its trailing `ω` rows: the short window's positions `W−ω..W`.
+    short_basis: PositionBasis,
 }
 
 impl TemporalModule {
@@ -47,7 +55,21 @@ impl TemporalModule {
         let decoder = DecoderLayer::new(store, "temporal.dec", d, config.heads, &mut rng)?;
         let out_hidden = Linear::new(store, "temporal.out1", d, config.d_ff, Activation::Relu, &mut rng);
         let out_proj = Linear::new(store, "temporal.out2", config.d_ff, in_dim, Activation::Identity, &mut rng);
-        Ok(Self { enc_embed, dec_embed, time, encoders, decoder, out_hidden, out_proj, in_dim })
+        let positions: Vec<f32> = (0..config.window).map(|i| i as f32).collect();
+        let long_basis = time.basis(&positions);
+        let short_basis = long_basis.tail(config.effective_short_window())?;
+        Ok(Self {
+            enc_embed,
+            dec_embed,
+            time,
+            encoders,
+            decoder,
+            out_hidden,
+            out_proj,
+            in_dim,
+            long_basis,
+            short_basis,
+        })
     }
 
     /// Token width (1 = univariate mode).
@@ -69,14 +91,30 @@ impl TemporalModule {
         ids
     }
 
+    /// Checks a window pair against the module's basis: `W` long rows, `ω`
+    /// short rows and one interval per long row.
+    fn check_windows(&self, w: usize, omega: usize, deltas: &[f32]) -> DetectorResult<()> {
+        if w != self.long_basis.len() || omega != self.short_basis.len() {
+            return Err(DetectorError::Invalid(format!(
+                "windows of {w}/{omega} rows for a module built for W={}/ω={}",
+                self.long_basis.len(),
+                self.short_basis.len()
+            )));
+        }
+        if deltas.len() != w {
+            return Err(DetectorError::Invalid(format!("need {w} deltas, got {}", deltas.len())));
+        }
+        Ok(())
+    }
+
     /// Records the reconstruction of one window on the tape.
     ///
     /// * `long` — `W × in_dim` token matrix (Eq. 3's `L_t`, transposed to
     ///   token-major layout).
     /// * `short` — `ω × in_dim` token matrix (`S_t`).
-    /// * `positions`/`deltas` — absolute positions and inter-observation
-    ///   intervals for the long window; the short window uses the trailing
-    ///   `ω` entries.
+    /// * `deltas` — inter-observation intervals for the long window; the
+    ///   short window uses the trailing `ω` entries. Positions are the
+    ///   module's fixed `0..W`.
     ///
     /// Returns the `ω × in_dim` reconstruction `Ŷ₁` in `[0, 1]` (Eq. 9–10).
     pub fn reconstruct(
@@ -85,31 +123,20 @@ impl TemporalModule {
         store: &ParamStore,
         long: &Matrix,
         short: &Matrix,
-        positions: &[f32],
         deltas: &[f32],
     ) -> DetectorResult<NodeId> {
-        let w = long.rows();
-        let omega = short.rows();
-        if positions.len() != w || deltas.len() != w {
-            return Err(DetectorError::Invalid(format!(
-                "need {w} positions/deltas, got {}/{}",
-                positions.len(),
-                deltas.len()
-            )));
-        }
-        if omega > w {
-            return Err(DetectorError::Invalid(format!("ω={omega} exceeds W={w}")));
-        }
+        let (w, omega) = (long.rows(), short.rows());
+        self.check_windows(w, omega, deltas)?;
 
         // Input embeddings (Eq. 4): linear projection + time embedding.
         let long_n = g.constant(long.clone());
         let short_n = g.constant(short.clone());
-        let te_long = self.time.forward(g, store, positions, deltas)?;
+        let te_long = self.time.forward(g, store, &self.long_basis, deltas)?;
         let ie = self.enc_embed.forward(g, store, long_n)?;
         let ie = g.add(ie, te_long)?;
         let te_short = self
             .time
-            .forward(g, store, &positions[w - omega..], &deltas[w - omega..])?;
+            .forward(g, store, &self.short_basis, &deltas[w - omega..])?;
         let id_ = self.dec_embed.forward(g, store, short_n)?;
         let id_ = g.add(id_, te_short)?;
 
@@ -133,8 +160,8 @@ impl TemporalModule {
     /// * `long` — `(blocks·W) × in_dim`: each block's long window stacked
     ///   row-wise.
     /// * `short` — `(blocks·ω) × in_dim`, same block order.
-    /// * `positions`/`deltas` — shared by all blocks (the batched caller
-    ///   stacks windows from the *same frame*, so the time axis is common).
+    /// * `deltas` — shared by all blocks (the batched caller stacks windows
+    ///   from the *same frame*, so the time axis is common).
     ///
     /// Returns the `(blocks·ω) × in_dim` reconstruction, block *b*'s rows
     /// at `b·ω .. (b+1)·ω` — bitwise identical to `blocks` separate
@@ -149,7 +176,6 @@ impl TemporalModule {
         store: &ParamStore,
         long: &Matrix,
         short: &Matrix,
-        positions: &[f32],
         deltas: &[f32],
         blocks: usize,
     ) -> DetectorResult<Matrix> {
@@ -165,24 +191,16 @@ impl TemporalModule {
                 short.rows()
             )));
         }
-        if positions.len() != w || deltas.len() != w {
-            return Err(DetectorError::Invalid(format!(
-                "need {w} positions/deltas, got {}/{}",
-                positions.len(),
-                deltas.len()
-            )));
-        }
-        if omega > w {
-            return Err(DetectorError::Invalid(format!("ω={omega} exceeds W={w}")));
-        }
+        self.check_windows(w, omega, deltas)?;
 
         // Input embeddings: stacked projection GEMMs + the shared time
         // embedding tiled per block (elementwise add is tiling-safe).
-        let te_long = self.time.forward_value(store, positions, deltas)?;
+        let te_long = self.time.forward_value(store, &self.long_basis, deltas)?;
         let te_long = aero_tensor::forward::tile_rows(&te_long, blocks);
         let ie = self.enc_embed.forward_value(store, long)?.add(&te_long)?;
-        let te_short =
-            self.time.forward_value(store, &positions[w - omega..], &deltas[w - omega..])?;
+        let te_short = self
+            .time
+            .forward_value(store, &self.short_basis, &deltas[w - omega..])?;
         let te_short = aero_tensor::forward::tile_rows(&te_short, blocks);
         let id_ = self.dec_embed.forward_value(store, short)?.add(&te_short)?;
 
@@ -217,11 +235,10 @@ mod tests {
         let omega = cfg.short_window;
         let long = Matrix::from_fn(w, 1, |r, _| (r as f32 / w as f32).sin() * 0.5 + 0.5);
         let short = long.slice_rows(w - omega, omega).unwrap();
-        let positions: Vec<f32> = (0..w).map(|i| i as f32).collect();
         let deltas = vec![1.0f32; w];
         let mut g = Graph::new();
         let out = m
-            .reconstruct(&mut g, &store, &long, &short, &positions, &deltas)
+            .reconstruct(&mut g, &store, &long, &short, &deltas)
             .unwrap();
         let v = g.value(out).unwrap();
         assert_eq!(v.shape(), (omega, 1));
@@ -236,27 +253,27 @@ mod tests {
         let omega = cfg.short_window;
         let long = Matrix::from_fn(w, 3, |r, c| ((r + c) as f32 * 0.1).cos() * 0.4 + 0.5);
         let short = long.slice_rows(w - omega, omega).unwrap();
-        let positions: Vec<f32> = (0..w).map(|i| i as f32).collect();
         let deltas = vec![1.0f32; w];
         let mut g = Graph::new();
         let out = m
-            .reconstruct(&mut g, &store, &long, &short, &positions, &deltas)
+            .reconstruct(&mut g, &store, &long, &short, &deltas)
             .unwrap();
         assert_eq!(g.value(out).unwrap().shape(), (omega, 3));
     }
 
     #[test]
-    fn rejects_mismatched_positions() {
+    fn rejects_windows_off_the_basis() {
         let (m, store, cfg) = module(1);
         let w = cfg.window;
-        let long = Matrix::zeros(w, 1);
         let short = Matrix::zeros(cfg.short_window, 1);
         let mut g = Graph::new();
-        let bad_pos = vec![0.0f32; w - 1];
         let deltas = vec![1.0f32; w];
-        assert!(m
-            .reconstruct(&mut g, &store, &long, &short, &bad_pos, &deltas)
-            .is_err());
+        let bad_deltas = vec![1.0f32; w - 1];
+        let (long, longer) = (Matrix::zeros(w, 1), Matrix::zeros(w + 1, 1));
+        assert!(m.reconstruct(&mut g, &store, &long, &short, &bad_deltas).is_err());
+        assert!(m.reconstruct(&mut g, &store, &longer, &short, &vec![1.0; w + 1]).is_err());
+        assert!(m.reconstruct_batched(&store, &long, &short, &bad_deltas, 1).is_err());
+        assert!(m.reconstruct(&mut g, &store, &long, &short, &deltas).is_ok());
     }
 
     #[test]
@@ -267,7 +284,6 @@ mod tests {
         // A clean sinusoid in [0,1].
         let long = Matrix::from_fn(w, 1, |r, _| (r as f32 * 0.3).sin() * 0.4 + 0.5);
         let short = long.slice_rows(w - omega, omega).unwrap();
-        let positions: Vec<f32> = (0..w).map(|i| i as f32).collect();
         let deltas = vec![1.0f32; w];
         let mut opt = aero_tensor::Adam::new(2e-3);
         let mut first = None;
@@ -276,8 +292,8 @@ mod tests {
             store.zero_grads();
             let mut g = Graph::new();
             let out = m
-                .reconstruct(&mut g, &store, &long, &short, &positions, &deltas)
-                .unwrap();
+            .reconstruct(&mut g, &store, &long, &short, &deltas)
+            .unwrap();
             let loss = g.mse_loss(out, &short).unwrap();
             last = g.value(loss).unwrap().scalar_value().unwrap();
             if first.is_none() {

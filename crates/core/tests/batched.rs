@@ -85,7 +85,6 @@ fn module_rows(seed: u64, blocks: usize) -> (Vec<u32>, Vec<u32>) {
     let (w, omega) = (cfg.window, cfg.effective_short_window());
     let (module, store) = perturbed_module(seed);
     let mut rng = StdRng::seed_from_u64(seed);
-    let positions: Vec<f32> = (0..w).map(|i| i as f32).collect();
     let deltas: Vec<f32> =
         (0..w).map(|t| if t == 0 { 0.0 } else { rng.gen_range(0.5f32..1.5) }).collect();
     let windows: Vec<Matrix> =
@@ -102,14 +101,14 @@ fn module_rows(seed: u64, blocks: usize) -> (Vec<u32>, Vec<u32>) {
         short.as_mut_slice()[b * omega..(b + 1) * omega].copy_from_slice(shorts[b].as_slice());
     }
     let batched = module
-        .reconstruct_batched(&store, &long, &short, &positions, &deltas, blocks)
+        .reconstruct_batched(&store, &long, &short, &deltas, blocks)
         .expect("batched forward");
 
     let mut tape = Vec::with_capacity(blocks * omega);
     for (long, short) in windows.iter().zip(&shorts) {
         let mut g = Graph::new();
         let out = module
-            .reconstruct(&mut g, &store, long, short, &positions, &deltas)
+            .reconstruct(&mut g, &store, long, short, &deltas)
             .expect("tape forward");
         tape.extend(g.value(out).expect("forward value").as_slice().iter().map(|v| v.to_bits()));
     }

@@ -30,5 +30,5 @@ pub use gru::Gru;
 pub use linear::{Activation, FeedForward, LayerNorm, Linear};
 pub use lstm::Lstm;
 pub use trainer::{EarlyStopping, NanRecovery, TrainingHistory};
-pub use transformer::{DecoderLayer, EncoderLayer, TimeEmbedding};
+pub use transformer::{DecoderLayer, EncoderLayer, PositionBasis, TimeEmbedding};
 pub use vae::{kl_standard_normal, standard_normal, GaussianHead};

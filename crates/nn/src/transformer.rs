@@ -1,7 +1,9 @@
 //! Transformer encoder/decoder blocks (post-norm, as in the AERO paper's
 //! Eq. 7–8) and the sinusoidal/irregular-interval time embedding (Eq. 1).
 
-use aero_tensor::{Graph, Matrix, NodeId, ParamId, ParamStore, Result};
+use std::sync::Arc;
+
+use aero_tensor::{Graph, Matrix, NodeId, ParamId, ParamStore, Result, TensorError};
 use rand::Rng;
 
 use crate::attention::MultiHeadAttention;
@@ -161,10 +163,60 @@ impl DecoderLayer {
 /// with fixed frequencies `f^j = 10000^{−j/d_m}` and a learnable phase-shift
 /// coefficient `α_j` that encodes the time interval `Δ_t` between successive
 /// observations.
+///
+/// The positional phase `f^j·pos_t` involves no parameter, so its sin/cos
+/// live in a [`PositionBasis`] that a caller builds once per position list
+/// ([`basis`](Self::basis)) and passes to every forward pass; only the
+/// learnable shift `α·Δ` is evaluated per call.
 #[derive(Debug, Clone)]
 pub struct TimeEmbedding {
     alpha: ParamId,
     d_model: usize,
+}
+
+/// The constant half of the time embedding for a fixed list of positions:
+/// `sin(f^j·pos_i)` and `cos(f^j·pos_i)` as two `len × d_model` matrices,
+/// shared (not copied) by every tape that uses them.
+#[derive(Debug, Clone)]
+pub struct PositionBasis {
+    sin: Arc<Matrix>,
+    cos: Arc<Matrix>,
+}
+
+impl PositionBasis {
+    /// Number of positions (rows).
+    pub fn len(&self) -> usize {
+        self.sin.rows()
+    }
+
+    /// True for a basis over no positions.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The basis of the trailing `rows` positions — bitwise the basis
+    /// [`TimeEmbedding::basis`] builds for them, since every entry depends
+    /// only on its own position and frequency. More rows than the basis
+    /// holds is an index error.
+    pub fn tail(&self, rows: usize) -> Result<Self> {
+        let start = self.len().saturating_sub(rows);
+        Ok(Self {
+            sin: Arc::new(self.sin.slice_rows(start, rows)?),
+            cos: Arc::new(self.cos.slice_rows(start, rows)?),
+        })
+    }
+
+    /// Typed check that `deltas` pairs one interval with each position.
+    fn check_deltas(&self, deltas: &[f32]) -> Result<()> {
+        if deltas.len() != self.len() {
+            return Err(TensorError::ShapeMismatch {
+                expected: (self.len(), 1),
+                got: (deltas.len(), 1),
+                op: "time_embedding",
+            });
+        }
+        Ok(())
+    }
 }
 
 impl TimeEmbedding {
@@ -184,9 +236,27 @@ impl TimeEmbedding {
         self.d_model
     }
 
-    /// Builds the `len × d_model` time-embedding matrix for absolute
-    /// positions `positions` and inter-observation intervals `deltas`
-    /// (`deltas[i] = t_i − t_{i−1}`; pass 1.0 for regular sampling).
+    /// Builds the sin/cos basis of the positional phase for absolute
+    /// positions `positions`.
+    pub fn basis(&self, positions: &[f32]) -> PositionBasis {
+        let d = self.d_model;
+        let mut base = Matrix::zeros(positions.len(), d);
+        for (i, &pos) in positions.iter().enumerate() {
+            for j in 0..d {
+                let freq = (1.0f32 / 10000.0f32.powf(j as f32 / d as f32)) * pos;
+                base.set(i, j, freq);
+            }
+        }
+        PositionBasis {
+            sin: Arc::new(base.map(f32::sin)),
+            cos: Arc::new(base.map(f32::cos)),
+        }
+    }
+
+    /// Builds the `len × d_model` time-embedding matrix for the positions of
+    /// `basis` and inter-observation intervals `deltas` (`deltas[i] = t_i −
+    /// t_{i−1}`; pass 1.0 for regular sampling). A `deltas` length other
+    /// than the basis's is a [`TensorError::ShapeMismatch`].
     ///
     /// Gradients flow into `α` through the tape (sin/cos of an affine in α
     /// are expressed with `exp`-free trigonometric identities below, so the
@@ -195,38 +265,25 @@ impl TimeEmbedding {
         &self,
         g: &mut Graph,
         store: &ParamStore,
-        positions: &[f32],
+        basis: &PositionBasis,
         deltas: &[f32],
     ) -> Result<NodeId> {
-        debug_assert_eq!(positions.len(), deltas.len());
-        let len = positions.len();
-        let d = self.d_model;
-
-        // Constant parts: sin/cos of the positional phase, and Δ_t broadcast.
-        let mut base = Matrix::zeros(len, d);
-        for (i, &pos) in positions.iter().enumerate() {
-            for j in 0..d {
-                let freq = (1.0f32 / 10000.0f32.powf(j as f32 / d as f32)) * pos;
-                base.set(i, j, freq);
-            }
-        }
-        // TE = sin(base + αΔ) + cos(base + αΔ)
-        //    = (sin b)(cos αΔ) + (cos b)(sin αΔ) + (cos b)(cos αΔ) − (sin b)(sin αΔ)
-        // where all products are elementwise after broadcasting α over rows
-        // scaled by each row's Δ. We build phase = base + Δ·α directly instead:
-        // represent Δ·α as outer product delta_col · α_row on the tape.
+        basis.check_deltas(deltas)?;
+        // TE = sin(b + αΔ) + cos(b + αΔ) with the positional phase `b`
+        // constant. Represent the shift Δ·α as the outer product
+        // delta_col · α_row on the tape.
         let alpha = g.param(store, self.alpha)?;
         let delta_col = g.constant(Matrix::col_vector(deltas));
         let phase_shift = g.matmul(delta_col, alpha)?; // len × d
 
         // The tape has no sin/cos ops, so expand with the angle-sum
-        // identities: the positional part `b` is constant (evaluated exactly
-        // off-tape), while sin/cos of the learnable shift `s = α_j·Δ_t` use
-        // their small-angle forms sin s ≈ s − s³/6, cos s ≈ 1 − s²/2 (max
-        // error 2e-4 for |s| ≤ 0.5 — α is initialized in (−0.1, 0.1)), which
-        // keeps the phase shift fully differentiable.
-        let sin_cn = g.constant(base.map(f32::sin));
-        let cos_cn = g.constant(base.map(f32::cos));
+        // identities: sin/cos of the positional part `b` come from the
+        // basis (evaluated exactly off-tape), while sin/cos of the learnable
+        // shift `s = α_j·Δ_t` use their small-angle forms sin s ≈ s − s³/6,
+        // cos s ≈ 1 − s²/2 (max error 2e-4 for |s| ≤ 0.5 — α is initialized
+        // in (−0.1, 0.1)), which keeps the phase shift fully differentiable.
+        let sin_cn = g.constant_shared(Arc::clone(&basis.sin));
+        let cos_cn = g.constant_shared(Arc::clone(&basis.cos));
 
         // Small-angle sin/cos of the learnable shift s.
         let s = phase_shift;
@@ -251,31 +308,19 @@ impl TimeEmbedding {
     /// Tape-free embedding for inference: the exact op sequence of
     /// [`forward`](Self::forward) evaluated with the same `Matrix` methods
     /// the graph ops call, so the result is bitwise identical. The output
-    /// depends only on `positions`/`deltas`/`α` — per-star windows sharing
-    /// the same frame share one embedding, which the batched path tiles
-    /// across row blocks.
+    /// depends only on the basis, `deltas` and `α` — per-star windows
+    /// sharing the same frame share one embedding, which the batched path
+    /// tiles across row blocks.
     pub fn forward_value(
         &self,
         store: &ParamStore,
-        positions: &[f32],
+        basis: &PositionBasis,
         deltas: &[f32],
     ) -> Result<Matrix> {
-        debug_assert_eq!(positions.len(), deltas.len());
-        let len = positions.len();
-        let d = self.d_model;
-
-        let mut base = Matrix::zeros(len, d);
-        for (i, &pos) in positions.iter().enumerate() {
-            for j in 0..d {
-                let freq = (1.0f32 / 10000.0f32.powf(j as f32 / d as f32)) * pos;
-                base.set(i, j, freq);
-            }
-        }
+        basis.check_deltas(deltas)?;
         let alpha = store.value(self.alpha)?;
         let s = Matrix::col_vector(deltas).matmul(alpha)?; // len × d
-
-        let sin_cn = base.map(f32::sin);
-        let cos_cn = base.map(f32::cos);
+        let (sin_cn, cos_cn) = (&*basis.sin, &*basis.cos);
 
         let s2 = s.hadamard(&s)?;
         let s3 = s2.hadamard(&s)?;
@@ -331,7 +376,9 @@ mod tests {
         let mut g = Graph::new();
         let positions: Vec<f32> = (0..20).map(|i| i as f32).collect();
         let deltas = vec![1.0f32; 20];
-        let e = te.forward(&mut g, &store, &positions, &deltas).unwrap();
+        let e = te
+            .forward(&mut g, &store, &te.basis(&positions), &deltas)
+            .unwrap();
         let v = g.value(e).unwrap();
         assert_eq!(v.shape(), (20, 16));
         // sin + cos is bounded by √2 (plus small-angle approximation error).
@@ -344,11 +391,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let te = TimeEmbedding::new(&mut store, "te", 8, &mut rng);
         let positions: Vec<f32> = (0..10).map(|i| i as f32).collect();
+        let basis = te.basis(&positions);
         let mut g = Graph::new();
-        let regular = te.forward(&mut g, &store, &positions, &[1.0; 10]).unwrap();
-        let irregular = te
-            .forward(&mut g, &store, &positions, &[5.0; 10])
-            .unwrap();
+        let regular = te.forward(&mut g, &store, &basis, &[1.0; 10]).unwrap();
+        let irregular = te.forward(&mut g, &store, &basis, &[5.0; 10]).unwrap();
         let a = g.value(regular).unwrap().clone();
         let b = g.value(irregular).unwrap().clone();
         assert_ne!(a, b);
@@ -360,8 +406,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let te = TimeEmbedding::new(&mut store, "te", 4, &mut rng);
         let mut g = Graph::new();
+        let basis = te.basis(&[0.0, 1.0, 2.0]);
         let e = te
-            .forward(&mut g, &store, &[0.0, 1.0, 2.0], &[1.0, 1.0, 2.0])
+            .forward(&mut g, &store, &basis, &[1.0, 1.0, 2.0])
             .unwrap();
         let sq = g.hadamard(e, e).unwrap();
         let loss = g.mean_all(sq).unwrap();

@@ -160,8 +160,9 @@ fn time_embedding_gradients() {
     let te = TimeEmbedding::new(&mut store, "te", 4, &mut rng);
     let positions = [0.0f32, 1.0, 2.0, 3.5];
     let deltas = [0.0f32, 1.0, 1.0, 1.5];
+    let basis = te.basis(&positions);
     check_all(&store, &te.param_ids(), |s, g| {
-        te.forward(g, s, &positions, &deltas)
+        te.forward(g, s, &basis, &deltas)
     });
 }
 

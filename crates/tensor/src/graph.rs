@@ -292,6 +292,13 @@ impl Graph {
         self.push(value, Op::Leaf, None)
     }
 
+    /// Inserts a constant leaf that shares `value` instead of owning a copy:
+    /// a constant built once and reused by many tapes costs an `Arc` clone
+    /// per tape.
+    pub fn constant_shared(&mut self, value: Arc<Matrix>) -> NodeId {
+        self.push_shared(value, Op::Leaf, None)
+    }
+
     /// Inserts a leaf holding the current value of parameter `id`.
     ///
     /// The leaf shares the store's buffer (`Arc` clone) — no per-forward-pass

@@ -25,7 +25,11 @@
 #      worker threads (score in every graph mode), plus blocked-GEMM ==
 #      naive-reference property tests and the POT property: the quantile by
 #      selection equals the sort-based reference bitwise on every field,
-#      NaN/±inf/duplicates/±0.0 ties included
+#      NaN/±inf/duplicates/±0.0 ties included; plus the calibration-tail
+#      gate: score_from(series, first) equals score bitwise in columns
+#      first.. in every graph mode at smoothing 1 and 3, and run_detection's
+#      scores and threshold equal the protocol that scored the whole
+#      training series
 #   6. kernel equivalence: SIMD backends (AVX2/AVX-512/NEON, whichever the
 #      host supports) bitwise identical to the scalar fallback across every
 #      dispatched kernel, plus the AERO_FORCE_SCALAR env override
@@ -56,7 +60,11 @@
 #      Stage-1 scoring path) is bitwise identical to the tape forward, per
 #      block of a perturbed module and per star of a trained detector scored
 #      alone vs in the batch, across star counts, thread counts and kernel
-#      backends; plus a 2-shard governed CLI stream smoke
+#      backends; plus the time-embedding basis gate: both forwards built on
+#      the prebuilt position basis equal the inline sin/cos formula bitwise
+#      (long window, its short tail, fractional positions), and a
+#      basis/deltas length mismatch is a typed shape error; plus a 2-shard
+#      governed CLI stream smoke
 #  13. resident service: wire-codec adversarial property suite (garbage,
 #      torn frames, flipped bits, hostile lengths — typed errors, bounded
 #      allocation), then real-process end-to-end runs of `aero serve` +
@@ -89,10 +97,11 @@ echo "==> tier-1: crash recovery (chaos on the batched production path)"
 cargo test -q -p aero-core --test crash_recovery
 cargo test -q -p aero-cli --test stream_resume
 
-echo "==> tier-1: thread-count determinism"
+echo "==> tier-1: thread-count determinism + calibration tail"
 cargo test -q -p aero-core --test determinism
 cargo test -q -p aero-tensor --test gemm_equivalence
 cargo test -q -p aero-evt --test pot_equivalence
+cargo test -q -p aero-core --test calibration_tail
 
 echo "==> tier-1: kernel equivalence (SIMD == scalar, bitwise)"
 cargo test -q -p aero-tensor --test kernel_equivalence --test force_scalar_env
@@ -135,8 +144,9 @@ for shard_dir in "$fleet_tmp"/wal_migrate/shard-*; do
         wal verify "$shard_dir" > /dev/null
 done
 
-echo "==> tier-1: batched equivalence (batched == tape forward)"
+echo "==> tier-1: batched equivalence (batched == tape forward, time basis)"
 cargo test -q -p aero-core --test batched
+cargo test -q -p aero-nn --test time_basis
 cargo run --release -q -p aero-cli --bin aero -- stream \
     --data "$fleet_tmp/data" --shards 2 --burst 17 \
     --wal "$fleet_tmp/wal_batched" > /dev/null
