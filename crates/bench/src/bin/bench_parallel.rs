@@ -90,7 +90,6 @@ struct Report {
     wal_overhead: WalReport,
     degradation_ladder: LadderReport,
     fleet_scaling: FleetScalingReport,
-    migration_pause: MigrationPauseReport,
 }
 
 /// Fleet-coordinator streaming throughput vs shard count (one pool shard
@@ -112,28 +111,6 @@ struct FleetScalingRow {
     host_logical_cpus: usize,
     secs_per_frame: f64,
     frames_per_sec: f64,
-    note: Option<&'static str>,
-}
-
-/// Cost of a live WAL-fenced star handoff (DESIGN.md §16): one
-/// migrate-live night whose starting assignment deliberately mis-homes one
-/// star pair, so the first epoch-boundary plan rehomes exactly that pair.
-/// Every offer+poll tick is timed individually; the tick whose poll
-/// executes the handoff (fence + snapshot + destination rebuild + commit)
-/// is reported against the steady-state tick distribution. The pause is
-/// dominated by retraining the destination shards' models — measured, not
-/// synthesized, so it honestly scales with model size.
-#[derive(Serialize)]
-struct MigrationPauseReport {
-    frames_per_sample: usize,
-    stars: usize,
-    shards: usize,
-    epoch_frames: usize,
-    stars_moved: usize,
-    steady_p50_tick_secs: f64,
-    steady_p99_tick_secs: f64,
-    handoff_tick_secs: f64,
-    pause_ratio_vs_steady_p50: f64,
     note: Option<&'static str>,
 }
 
@@ -562,85 +539,6 @@ fn main() {
         .collect();
     aero_parallel::set_max_threads(1);
 
-    // --- Migration pause: a migrate-live night starting from the epoch-1
-    // LPT plan with one star pair swapped between shards 0 and 1, so the
-    // first epoch boundary executes a real two-phase handoff. Each
-    // offer+poll tick is timed; the handoff tick is spotted by the
-    // stars_moved counter advancing across it. ---
-    aero_parallel::set_max_threads(args.threads);
-    let migration_pause = {
-        let shards = 2usize;
-        let catalog = StarCatalog::sequential(n);
-        let uniform = vec![1u64; n];
-        let planned = ShardAssignment::rebalance(&catalog, shards, 7, &uniform, 1).unwrap();
-        let mut shard_of = planned.shard_map().to_vec();
-        let a = shard_of.iter().position(|&s| s == 0).unwrap();
-        let b = shard_of.iter().position(|&s| s == 1).unwrap();
-        shard_of.swap(a, b);
-        let assignment = ShardAssignment::from_plan(&catalog, shards, shard_of, 0).unwrap();
-        let train = ds.train.clone();
-        let smoke = args.smoke;
-        let factory: ShardFactory = Arc::new(move |members: &[usize]| {
-            let slice = train
-                .select_variates(members)
-                .map_err(|e| aero_core::DetectorError::Invalid(e.to_string()))?;
-            let mut model = Aero::new(model_config(smoke))?;
-            model.fit(&slice)?;
-            let pot = PotConfig { level: 0.95, ..PotConfig::default() };
-            OnlineAero::with_policy(model, &slice, pot, DegradePolicy::default())
-        });
-        let wal_root =
-            std::env::temp_dir().join(format!("aero_bench_migrate_{}", std::process::id()));
-        std::fs::remove_dir_all(&wal_root).ok();
-        let epoch_frames = frames.len() / 2;
-        let config = FleetConfig {
-            seed: 7,
-            epoch_frames,
-            wal_root: Some(wal_root.clone()),
-            wal: WalConfig { frames_per_segment: 64, fsync: FsyncPolicy::Never, identity: Default::default() },
-            migrate_live: true,
-            ..FleetConfig::default()
-        };
-        let mut fleet =
-            FleetCoordinator::new(catalog, assignment, factory, None, config).unwrap();
-        let mut ticks: Vec<(f64, bool)> = Vec::with_capacity(frames.len());
-        for (ts, values) in &frames {
-            let moved_before = fleet.stars_moved();
-            let t0 = Instant::now();
-            fleet.offer(*ts, values).unwrap();
-            fleet.poll().unwrap();
-            let secs = t0.elapsed().as_secs_f64();
-            ticks.push((secs, fleet.stars_moved() != moved_before));
-        }
-        fleet.drain().unwrap();
-        let stars_moved = fleet.stars_moved();
-        drop(fleet);
-        std::fs::remove_dir_all(&wal_root).ok();
-        let mut steady: Vec<f64> =
-            ticks.iter().filter(|&&(_, handoff)| !handoff).map(|&(secs, _)| secs).collect();
-        steady.sort_by(f64::total_cmp);
-        let pct = |p: f64| {
-            let idx = ((steady.len().max(1) - 1) as f64 * p).round() as usize;
-            steady.get(idx).copied().unwrap_or(0.0)
-        };
-        let handoff_secs =
-            ticks.iter().filter(|&&(_, h)| h).map(|&(s, _)| s).fold(0.0f64, f64::max);
-        let p50 = pct(0.50);
-        MigrationPauseReport {
-            frames_per_sample: frames.len(),
-            stars: n,
-            shards,
-            epoch_frames,
-            stars_moved,
-            steady_p50_tick_secs: p50,
-            steady_p99_tick_secs: pct(0.99),
-            handoff_tick_secs: handoff_secs,
-            pause_ratio_vs_steady_p50: if p50 > 0.0 { handoff_secs / p50 } else { 0.0 },
-            note: (stars_moved == 0).then_some("no_migration_executed"),
-        }
-    };
-    aero_parallel::set_max_threads(1);
-
     // --- Memory at scale: shared frozen backbone + per-star deltas vs one
     // full model per star (DESIGN.md §17). ---
     let memory_at_scale = {
@@ -774,7 +672,6 @@ fn main() {
             stars: n,
             rows: fleet_rows,
         },
-        migration_pause,
     };
     let pretty = serde_json::to_string_pretty(&report).unwrap();
     std::fs::write(&args.out, format!("{pretty}\n")).expect("writing the benchmark report");

@@ -246,7 +246,7 @@ pub fn stream(args: &Args) -> Result<(), String> {
     if let Some(shards) = args.parsed("shards")? {
         return stream_fleet(args, &opts, shards);
     }
-    for opt in ["probe-after", "kill-shard", "rebalance-every"] {
+    for opt in ["probe-after", "kill-shard"] {
         if args.get(opt)?.is_some() {
             return Err(format!(
                 "--{opt} applies to shard-level fleet supervision; add --shards <n>"
@@ -317,7 +317,6 @@ fn stream_fleet(args: &Args, opts: &NightOptions, num_shards: usize) -> Result<(
         return Err("--kill-shard needs --kill-after <n> (the offer count where it dies)".into());
     }
     let probe_after = args.get_parsed("probe-after", u32::MAX)?;
-    let rebalance_every = args.get_parsed("rebalance-every", 0usize)?;
     let seed = args.get_parsed("seed", 0u64)?;
 
     let train = opts.series("train.csv")?;
@@ -381,19 +380,12 @@ fn stream_fleet(args: &Args, opts: &NightOptions, num_shards: usize) -> Result<(
             OnlineAero::with_policy(model, &slice, pot, policy.clone())
         })
     };
-    let migrate_live = args.flag("migrate-live");
-    if migrate_live && rebalance_every == 0 {
-        return Err("--migrate-live needs --rebalance-every <n> (no plans, nothing to apply)".into());
-    }
     let config = FleetConfig {
         seed,
         overload: opts.overload.clone(),
         shard_supervision: SupervisorPolicy { probe_after, ..SupervisorPolicy::default() },
-        epoch_frames: rebalance_every,
         wal_root: opts.wal.clone(),
         wal: opts.wal_config,
-        migrate_live,
-        chaos_migration_kill: None,
     };
 
     let fallback = Some(sr_fallback());
@@ -403,10 +395,9 @@ fn stream_fleet(args: &Args, opts: &NightOptions, num_shards: usize) -> Result<(
                 .map_err(io_err)?;
         let verdicts: Vec<_> = recovered.replayed.into_iter().flatten().collect();
         eprintln!(
-            "resumed fleet: {} frames routed, {} verdicts replayed, {} plans recovered",
+            "resumed fleet: {} frames routed, {} verdicts replayed",
             recovered.frames_routed,
             verdicts.len(),
-            recovered.plans_recovered
         );
         (fleet, Replay { frames: recovered.frames_routed, verdicts })
     } else {
@@ -455,9 +446,6 @@ struct FleetTotals {
     shard_failures: usize,
     shard_restarts: usize,
     shards_down: usize,
-    rebalance_plans: usize,
-    stars_moved: usize,
-    migrations_rolled_back: usize,
 }
 
 /// One entry of [`FleetSummary::shards`].
@@ -483,9 +471,6 @@ fn fleet_summary_json(health: &aero_core::FleetHealth, frames: FrameTotals) -> S
             shard_failures: health.shard_failures,
             shard_restarts: health.shard_restarts,
             shards_down: health.shards_down,
-            rebalance_plans: health.rebalance_plans,
-            stars_moved: health.stars_moved,
-            migrations_rolled_back: health.migrations_rolled_back,
         },
         shards: health
             .shards
@@ -725,11 +710,11 @@ mod tests {
         generate(&gen_args).unwrap();
 
         // Night 1: two shards, one chaos-killed mid-night (it must restart
-        // from its own WAL in-process), with epoch rebalancing enabled.
+        // from its own WAL in-process).
         let run = |extra: &str| {
             let stream_args = Args::parse(
                 format!(
-                    "stream --data {} --shards 2 --wal {} --rebalance-every 64{extra}",
+                    "stream --data {} --shards 2 --wal {}{extra}",
                     data.display(),
                     wal.display()
                 )
@@ -746,7 +731,6 @@ mod tests {
         // there are no per-shard model checkpoints any more).
         assert!(wal.join("shard-0000").is_dir());
         assert!(wal.join("shard-0001").is_dir());
-        assert!(wal.join("fleet-plan").is_dir());
         assert!(wal.join("models").join("backbone.json").is_file());
         assert_eq!(std::fs::read_dir(wal.join("models")).unwrap().count(), 1);
 

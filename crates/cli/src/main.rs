@@ -54,7 +54,9 @@ COMMANDS:
                                            offers beyond it are rejected and the
                                            ladder degrades from half full
                      [--shards <n>]        fleet mode: partition the catalog
-                                           across n shared-nothing shards, each
+                                           across n shared-nothing shards (one
+                                           static partition per night, keyed
+                                           by --seed <u64>), each
                                            with its own detector, WAL directory
                                            (<wal>/shard-KKKK/), ladder, and
                                            breaker; drop --model (per-shard
@@ -69,18 +71,6 @@ COMMANDS:
                                            --kill-after offers; it must restart
                                            from its own WAL while the other
                                            shards keep streaming (fleet only)
-                     [--rebalance-every <f>] record a measured-cost rebalance
-                                           plan every f routed frames (fleet
-                                           only; plans land in the WAL and are
-                                           applied at the next fleet build)
-                     [--migrate-live]      apply rebalance plans mid-night via
-                                           the WAL-fenced two-phase handoff:
-                                           affected shards are fenced,
-                                           snapshotted into the migration log,
-                                           and rebuilt under epoch-versioned
-                                           WAL directories; survives kill -9
-                                           at any instant (fleet only, needs
-                                           --rebalance-every)
     wal            Offline WAL tooling
                      aero wal verify <dir>  scrub one WAL directory: segment
                                            headers, record checksums, torn

@@ -146,8 +146,5 @@ fn single_detector_kill_resume_matches_uninterrupted_night() {
 
 #[test]
 fn fleet_kill_resume_matches_uninterrupted_night() {
-    assert_kill_resume_equivalent(
-        "fleet",
-        &["--shards", "3", "--rebalance-every", "48", "--migrate-live"],
-    );
+    assert_kill_resume_equivalent("fleet", &["--shards", "3"]);
 }

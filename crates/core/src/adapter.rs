@@ -21,8 +21,8 @@
 //! algebra, is what keeps untouched stars on the pinned path.
 //!
 //! Adapter state lives outside the [`ParamStore`](aero_tensor::ParamStore):
-//! it is the "delta" unit of the v3 checkpoint format and of mid-night shard
-//! migration, both of which move kilobytes per star instead of a model.
+//! it is the "delta" unit of the v3 checkpoint format and of shard
+//! snapshots, both of which move kilobytes per star instead of a model.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -132,7 +132,7 @@ impl StarAdapter {
     }
 
     /// Serialized size of this head's delta (the unit that moves in v3
-    /// checkpoints and mid-night migration), in bytes.
+    /// checkpoints and shard snapshots), in bytes.
     pub fn delta_bytes(&self) -> usize {
         (self.p.len() + self.q.len()) * 4 + 3 * 4 + 8
     }
@@ -289,12 +289,12 @@ impl AdapterSet {
         self.heads.get_mut(v)
     }
 
-    /// Replaces star `v`'s head (used when a migrated star arrives with its
-    /// trained delta).
+    /// Replaces star `v`'s head (used when a shard snapshot is installed
+    /// with its trained deltas).
     pub fn install_head(&mut self, v: usize, head: StarAdapter) -> DetectorResult<()> {
         if head.omega != self.omega || head.rank != self.rank {
             return Err(DetectorError::Invalid(format!(
-                "migrated adapter head has ω={} r={}, shard expects ω={} r={}",
+                "installed adapter head has ω={} r={}, shard expects ω={} r={}",
                 head.omega, head.rank, self.omega, self.rank
             )));
         }

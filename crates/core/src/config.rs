@@ -99,7 +99,7 @@ pub struct AeroConfig {
     /// Rank `r` of the per-star adapter head layered over the shared frozen
     /// backbone (`0` = no adapters; the classic monolithic model). Each star
     /// then owns only `2·r·ω + O(1)` scalars — the "delta" that v3
-    /// checkpoints and mid-night migration move instead of a model.
+    /// checkpoints and shard snapshots move instead of a model.
     #[serde(default)]
     pub adapter_rank: usize,
     /// Online SGD learning rate for the adapter heads.

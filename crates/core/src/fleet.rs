@@ -35,65 +35,25 @@
 //!   [`DetectorError::WalMismatch`] instead of silently replaying another
 //!   shard's frames.
 //!
-//! # Measured-cost rebalancing
-//!
-//! The coordinator keeps a per-star cost ledger fed by the work each
-//! serviced verdict actually performed (full pipeline > stage-1 > fallback >
-//! hold-last > shed). At every `epoch_frames` routed frames it computes a
-//! deterministic LPT (longest-processing-time) [`RebalancePlan`] from
-//! `(catalog, seed, costs)` and appends it to the coordinator's own plan
-//! WAL, so a resumed process replays the identical plan sequence. By
-//! default plans are **advisory during the night** — they are applied when
-//! the fleet is next rebuilt, via [`ShardAssignment::from_plan`].
-//!
-//! # Live migration (`migrate_live`)
-//!
-//! With [`FleetConfig::migrate_live`] set, the coordinator applies each
-//! plan *mid-night* through a WAL-fenced two-phase handoff (DESIGN.md §16):
-//! every shard whose membership changes is **fenced** (queue drained with
-//! shedding and the ladder frozen — an administrative drain is not load),
-//! its full per-star state is snapshotted into a
-//! [`MigrationBegin`](crate::migrate::MigrationBegin) record appended to
-//! `wal/fleet-plan/migrations.log`, replacement shards are built for the
-//! new membership (moved stars' windows aligned onto their destination's
-//! timestamps), each gets a fresh **epoch-versioned** WAL directory
-//! (`shard-KKKK-eEEEE`) and identity, and a
-//! [`MigrationCommit`](crate::migrate::MigrationCommit) record plus
-//! per-directory commit markers make the flip durable before routing
-//! switches in memory. Fence-drained verdicts are handed to the caller
-//! from a per-shard hold-out queue on subsequent polls, so no verdict is
-//! lost or duplicated across the handoff.
-//!
-//! Recovery ([`FleetCoordinator::resume`]) re-derives the whole night from
-//! the logs alone: a trailing `Begin` without its `Commit` is rolled back
-//! (partial epoch directories deleted, the migration re-executes on the
-//! next poll), committed migrations are rolled forward from their recorded
-//! snapshots, and each shard's directory chain is replayed
-//! segment-by-segment — so a process killed at *any* instant of a handoff
-//! resumes with verdict streams, health counters, and the final assignment
-//! bitwise identical to a night where the kill never happened (gated by
-//! `tests/migration.rs`).
+//! The partition is static for the night: one seeded
+//! [`ShardAssignment::partition`], fixed at fleet construction. Every live
+//! shard receives a slice of every frame and is polled once per round, so
+//! all shards see the same queue depth and shed the same share of their
+//! non-suspect stars; moving stars between shards cannot lower the fleet's
+//! sheds (DESIGN.md §16).
 
 // Streaming modules run unattended for whole nights; a stray `unwrap` is a
 // latent crash, so the lint gate forbids them outside tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use aero_parallel::supervised_map_mut;
 
 use crate::detector::{DetectorError, DetectorResult};
-use crate::migrate::{
-    self, DetectorState, GovernorState, MigrationBegin, MigrationCommit, MigrationKillPoint,
-    MigrationRecord, ShardSnapshot,
-};
 use crate::online::{HealthReport, OnlineAero};
-use crate::overload::{
-    Admission, FallbackScorer, GovernedVerdict, LadderLevel, OverloadPolicy, PriorityClass,
-    StreamGovernor,
-};
+use crate::overload::{Admission, FallbackScorer, GovernedVerdict, OverloadPolicy, StreamGovernor};
 use crate::persist::Fnv64;
 use crate::supervisor::{Supervisor, SupervisorPolicy, SupervisorStats};
 use crate::wal::{WalConfig, WalIdentity, WalRecovery, WalWriter};
@@ -115,7 +75,7 @@ impl StarCatalog {
     }
 
     /// A catalog from explicit ids. Ids must be unique: two stars sharing an
-    /// id would hash to the same routing key and alias in rebalance plans.
+    /// id would hash to the same routing key and WAL identity.
     pub fn from_ids(ids: Vec<u64>) -> DetectorResult<Self> {
         let mut seen = ids.clone();
         seen.sort_unstable();
@@ -163,11 +123,10 @@ fn routing_key(seed: u64, id: u64) -> u64 {
 
 /// A deterministic star→shard assignment.
 ///
-/// Constructed by [`partition`](Self::partition) (seeded, cost-blind, sizes
-/// differing by at most one) or [`rebalance`](Self::rebalance) (LPT greedy
-/// over measured costs). Both are pure functions of their inputs — no clock,
+/// Constructed by [`partition`](Self::partition): seeded, cost-blind, sizes
+/// differing by at most one, and a pure function of its inputs — no clock,
 /// no thread count, no iteration-order dependence — which is what lets a
-/// resumed or re-thread-counted run reproduce the identical plan stream.
+/// resumed or re-thread-counted run rebuild the identical fleet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardAssignment {
     num_shards: usize,
@@ -175,12 +134,17 @@ pub struct ShardAssignment {
     shard_of: Vec<usize>,
     /// Per-shard member stars, ascending — the shard's local variate order.
     members: Vec<Vec<usize>>,
-    /// 0 for the initial partition; rebalance plans count up from 1.
-    epoch: u64,
 }
 
 impl ShardAssignment {
-    fn validate_shape(catalog: &StarCatalog, num_shards: usize) -> DetectorResult<()> {
+    /// Stars are ordered by their seeded routing key and dealt round-robin,
+    /// so shard sizes differ by at most one and the assignment is a pure
+    /// function of `(catalog, seed, num_shards)`.
+    pub fn partition(
+        catalog: &StarCatalog,
+        num_shards: usize,
+        seed: u64,
+    ) -> DetectorResult<Self> {
         if num_shards == 0 {
             return Err(DetectorError::Invalid("fleet needs at least one shard".into()));
         }
@@ -191,108 +155,21 @@ impl ShardAssignment {
                 catalog.len()
             )));
         }
-        Ok(())
-    }
-
-    fn from_shard_of_unchecked(num_shards: usize, shard_of: Vec<usize>, epoch: u64) -> Self {
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        for (star, &shard) in shard_of.iter().enumerate() {
-            members[shard].push(star);
-        }
-        Self {
-            num_shards,
-            shard_of,
-            members,
-            epoch,
-        }
-    }
-
-    /// The initial (cost-blind) partition: stars are ordered by their seeded
-    /// routing key and dealt round-robin, so shard sizes differ by at most
-    /// one and the assignment is a pure function of `(catalog, seed,
-    /// num_shards)`.
-    pub fn partition(
-        catalog: &StarCatalog,
-        num_shards: usize,
-        seed: u64,
-    ) -> DetectorResult<Self> {
-        Self::validate_shape(catalog, num_shards)?;
         let mut order: Vec<usize> = (0..catalog.len()).collect();
         order.sort_by_key(|&star| (routing_key(seed, catalog.ids[star]), catalog.ids[star]));
         let mut shard_of = vec![0usize; catalog.len()];
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
         for (pos, &star) in order.iter().enumerate() {
             shard_of[star] = pos % num_shards;
         }
-        Ok(Self::from_shard_of_unchecked(num_shards, shard_of, 0))
-    }
-
-    /// A measured-cost rebalance plan: stars are ordered by `(cost desc,
-    /// routing key, id)` and each is assigned to the currently lightest
-    /// shard (ties to the lowest shard index) — the classic LPT greedy.
-    /// Costs are floored at one unit so an idle star still occupies a slot
-    /// and no shard can end up empty. Deterministic in `(catalog, seed,
-    /// costs)`.
-    pub fn rebalance(
-        catalog: &StarCatalog,
-        num_shards: usize,
-        seed: u64,
-        costs: &[u64],
-        epoch: u64,
-    ) -> DetectorResult<Self> {
-        Self::validate_shape(catalog, num_shards)?;
-        if costs.len() != catalog.len() {
-            return Err(DetectorError::Invalid(format!(
-                "cost ledger has {} entries for {} stars",
-                costs.len(),
-                catalog.len()
-            )));
+        for (star, &shard) in shard_of.iter().enumerate() {
+            members[shard].push(star);
         }
-        let mut order: Vec<usize> = (0..catalog.len()).collect();
-        order.sort_by_key(|&star| {
-            (
-                std::cmp::Reverse(costs[star].max(1)),
-                routing_key(seed, catalog.ids[star]),
-                catalog.ids[star],
-            )
-        });
-        let mut loads = vec![0u64; num_shards];
-        let mut shard_of = vec![0usize; catalog.len()];
-        for &star in &order {
-            let mut lightest = 0usize;
-            for (k, &load) in loads.iter().enumerate() {
-                if load < loads[lightest] {
-                    lightest = k;
-                }
-            }
-            shard_of[star] = lightest;
-            loads[lightest] += costs[star].max(1);
-        }
-        Ok(Self::from_shard_of_unchecked(num_shards, shard_of, epoch))
-    }
-
-    /// Rebuilds an assignment from a recorded plan (`shard_of` vector), e.g.
-    /// when applying the previous night's final rebalance plan to the next
-    /// fleet construction.
-    pub fn from_plan(
-        catalog: &StarCatalog,
-        num_shards: usize,
-        shard_of: Vec<usize>,
-        epoch: u64,
-    ) -> DetectorResult<Self> {
-        Self::validate_shape(catalog, num_shards)?;
-        if shard_of.len() != catalog.len() {
-            return Err(DetectorError::Invalid(format!(
-                "plan covers {} stars, catalog has {}",
-                shard_of.len(),
-                catalog.len()
-            )));
-        }
-        if let Some(&bad) = shard_of.iter().find(|&&s| s >= num_shards) {
-            return Err(DetectorError::Invalid(format!(
-                "plan names shard {bad} of {num_shards}"
-            )));
-        }
-        Ok(Self::from_shard_of_unchecked(num_shards, shard_of, epoch))
+        Ok(Self {
+            num_shards,
+            shard_of,
+            members,
+        })
     }
 
     /// Number of shards.
@@ -315,16 +192,10 @@ impl ShardAssignment {
         &self.members[shard]
     }
 
-    /// The plan epoch this assignment came from (0 = initial partition).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// FNV-1a fingerprint of the assignment (epoch + shard map), used by the
-    /// determinism gates to compare plans across runs cheaply.
+    /// FNV-1a fingerprint of the assignment (shard count + shard map), used
+    /// by the determinism gates to compare partitions across runs cheaply.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
-        h.write(&self.epoch.to_le_bytes());
         h.write(&(self.num_shards as u64).to_le_bytes());
         for &s in &self.shard_of {
             h.write(&(s as u64).to_le_bytes());
@@ -347,50 +218,6 @@ impl ShardAssignment {
             catalog_hash: h.finish(),
         }
     }
-
-    /// [`shard_identity`](Self::shard_identity) versioned by migration
-    /// epoch: equal to the plain identity at epoch 0 (the PR-stable on-disk
-    /// format), and mixing the epoch into the hash afterwards — so a star
-    /// migrated away and later migrated *back* still gets a fresh identity
-    /// (no ABA: the old directory can never be mistaken for the new one).
-    pub fn shard_identity_at(
-        &self,
-        catalog: &StarCatalog,
-        shard: usize,
-        epoch: u64,
-    ) -> WalIdentity {
-        let base = self.shard_identity(catalog, shard);
-        if epoch == 0 {
-            return base;
-        }
-        let mut h = Fnv64::new();
-        h.write(&base.catalog_hash.to_le_bytes());
-        h.write(&epoch.to_le_bytes());
-        WalIdentity {
-            shard_id: base.shard_id,
-            catalog_hash: h.finish(),
-        }
-    }
-}
-
-/// Identity stamped on the coordinator's own plan log (not a star shard).
-fn plan_log_identity(catalog: &StarCatalog) -> WalIdentity {
-    WalIdentity {
-        shard_id: u32::MAX,
-        catalog_hash: catalog.hash(),
-    }
-}
-
-/// One recorded rebalance decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RebalancePlan {
-    /// Epoch number (1-based; epoch `e` triggers once `e * epoch_frames`
-    /// frames have been routed).
-    pub epoch: u64,
-    /// The planned star→shard vector.
-    pub shard_of: Vec<usize>,
-    /// [`ShardAssignment::fingerprint`] of the planned assignment.
-    pub fingerprint: u64,
 }
 
 /// Builds one shard's detector over the given member stars (global variate
@@ -402,33 +229,20 @@ pub type ShardFactory = Arc<dyn Fn(&[usize]) -> DetectorResult<OnlineAero> + Sen
 /// Fleet-level configuration.
 #[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
-    /// Seed for the routing keys (partition + rebalance tie-breaks).
+    /// Seed for the routing keys of the partition.
     pub seed: u64,
     /// Per-shard overload policy (each shard gets its own queue + ladder).
     pub overload: OverloadPolicy,
     /// Shard-level supervision: restart retries, breaker threshold, and the
     /// half-open probe schedule for quarantined shards.
     pub shard_supervision: SupervisorPolicy,
-    /// Compute a rebalance plan every this many routed frames (0 disables).
-    pub epoch_frames: usize,
-    /// Root WAL directory; shard `k` logs under `<root>/shard-KKKK/` and the
-    /// coordinator's plan log under `<root>/fleet-plan/`. `None` runs
-    /// without WALs (restarts then lose shard state instead of resuming).
+    /// Root WAL directory; shard `k` logs under `<root>/shard-KKKK/`. `None`
+    /// runs without WALs (restarts then lose shard state instead of
+    /// resuming).
     pub wal_root: Option<PathBuf>,
     /// Segment/fsync configuration shared by every per-shard WAL (the
     /// per-shard [`WalIdentity`] is filled in by the coordinator).
     pub wal: WalConfig,
-    /// Apply rebalance plans mid-night through the WAL-fenced two-phase
-    /// handoff (see the module docs) instead of leaving them advisory.
-    /// Default `false`: plans only take effect at the next fleet build.
-    pub migrate_live: bool,
-    /// Chaos injection for the migration test harness: abort with a typed
-    /// error at the given [`MigrationKillPoint`] of the given plan epoch's
-    /// handoff, simulating `kill -9` at that phase boundary. The
-    /// coordinator is not usable afterwards — drop it and
-    /// [`resume`](FleetCoordinator::resume), exactly as a crashed process
-    /// would.
-    pub chaos_migration_kill: Option<(u64, MigrationKillPoint)>,
 }
 
 /// A shard's lifecycle state as the coordinator sees it.
@@ -491,14 +305,6 @@ pub struct FleetHealth {
     pub shards_down: usize,
     /// Per-shard frame slices dropped because the owning shard was down.
     pub frames_lost: usize,
-    /// Rebalance plans recorded so far.
-    pub rebalance_plans: usize,
-    /// Stars re-homed by committed live migrations (cumulative; rebuilt
-    /// from the migration log on resume).
-    pub stars_moved: usize,
-    /// Half-finished migrations rolled back by [`FleetCoordinator::resume`]
-    /// (this process's run; an uninterrupted night reports 0).
-    pub migrations_rolled_back: usize,
     /// Shard-level supervisor counters (restarts, breaker, probes).
     pub supervisor: SupervisorStats,
     /// Sum of every shard's [`HealthReport`] (see [`HealthReport::absorb`]).
@@ -516,41 +322,6 @@ pub struct FleetResume {
     /// Full-sky frames the crashed process had routed (max over shards, so
     /// a shard that died early does not shrink the resume point).
     pub frames_routed: usize,
-    /// Rebalance plans recovered from the coordinator's plan log.
-    pub plans_recovered: usize,
-}
-
-/// Work units one serviced star-verdict charges to the cost ledger, by the
-/// pipeline rung that actually ran. Suspects are pinned to the full
-/// pipeline whatever the ladder says, and a shed star did no work at all.
-fn star_cost(shed: bool, class: PriorityClass, level: LadderLevel) -> u64 {
-    if shed {
-        return 0;
-    }
-    if class == PriorityClass::Suspect {
-        return 8;
-    }
-    match level {
-        LadderLevel::FullAero => 8,
-        LadderLevel::Stage1Only => 4,
-        LadderLevel::SrFallback => 2,
-        LadderLevel::HoldLast => 1,
-    }
-}
-
-/// Stars whose owning shard differs between two assignments.
-fn moved_stars(old: &[usize], new: &[usize]) -> usize {
-    old.iter().zip(new).filter(|(a, b)| a != b).count()
-}
-
-/// Accumulates one directory's recovery summary into a shard's chain total
-/// (a migrated shard replays several directories on resume).
-fn absorb_recovery(into: &mut WalRecovery, r: WalRecovery) {
-    into.frames += r.frames;
-    into.segments += r.segments;
-    into.truncated |= r.truncated;
-    into.dropped_bytes += r.dropped_bytes;
-    into.dropped_segments += r.dropped_segments;
 }
 
 /// Routes full-sky frames across a fleet of shared-nothing shard detectors,
@@ -574,32 +345,14 @@ pub struct FleetCoordinator {
     /// bitwise restart must re-execute after WAL replay (the WAL's
     /// interleaving metadata only covers polls *before* each offer).
     trailing_polls: Vec<usize>,
-    /// Per-star measured cost ledger (global variate order).
-    costs: Vec<u64>,
     /// One supervisor unit per shard (restart retries + breaker + probes).
     supervisor: Supervisor,
-    plan_log: Option<WalWriter>,
-    plans: Vec<RebalancePlan>,
     frames_routed: usize,
     shard_restarts: usize,
     shard_failures: usize,
     frames_lost: usize,
     /// Per-shard slice of `frames_lost` (same increments, per owner).
     frames_lost_per_shard: Vec<usize>,
-    /// Plan epoch of each shard's last membership change (0 = never
-    /// migrated); selects the shard's WAL directory and identity.
-    shard_epochs: Vec<u64>,
-    /// Fence-drained verdicts awaiting emission: after a migration the
-    /// caller receives these (one per poll round, FIFO) before the new
-    /// shard is polled, so the handoff neither drops nor reorders output.
-    pending_out: Vec<VecDeque<GovernedVerdict>>,
-    /// Post-migration rebuild seed: the merged snapshot a shard restart
-    /// must re-install before replaying its current epoch directory.
-    seeds: Vec<Option<Arc<(DetectorState, GovernorState)>>>,
-    /// Plans already applied live (prefix of `plans`).
-    migrations_done: usize,
-    stars_moved: usize,
-    migrations_rolled_back: usize,
 }
 
 impl std::fmt::Debug for FleetCoordinator {
@@ -612,29 +365,51 @@ impl std::fmt::Debug for FleetCoordinator {
     }
 }
 
+/// Builds a detector over `members` through the factory and validates its
+/// width.
+fn build_online(factory: &ShardFactory, members: &[usize]) -> DetectorResult<OnlineAero> {
+    let online = factory(members)?;
+    if online.num_variates() != members.len() {
+        return Err(DetectorError::Invalid(format!(
+            "factory built {} variates for {} member stars",
+            online.num_variates(),
+            members.len()
+        )));
+    }
+    Ok(online)
+}
+
 /// `<root>/shard-KKKK` — one WAL directory per shard, zero-padded so a
 /// directory listing sorts in shard order.
 pub fn shard_wal_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard:04}"))
 }
 
-/// Epoch-versioned shard WAL directory: `shard-KKKK` for epoch 0 (the
-/// pre-migration layout, unchanged on disk) and `shard-KKKK-eEEEE` after a
-/// live migration re-homed the shard at plan epoch `e`. Superseded
-/// directories are kept — [`FleetCoordinator::resume`] replays the whole
-/// chain — so live migration trades disk for crash-safety; prune old
-/// epochs only after archiving a night.
-pub fn shard_epoch_wal_dir(root: &Path, shard: usize, epoch: u64) -> PathBuf {
-    if epoch == 0 {
-        shard_wal_dir(root, shard)
-    } else {
-        root.join(format!("shard-{shard:04}-e{epoch:04}"))
+/// Refuses a WAL root that holds a `shard-KKKK-eEEEE` directory: earlier
+/// releases wrote one when a live migration moved stars mid-night. The
+/// epoch-0 directories of such a night still carry valid identities but
+/// stop at the handoff, so replaying them alone would silently resume the
+/// wrong state.
+fn refuse_migrated_night(root: &Path) -> DetectorResult<()> {
+    let entries = match std::fs::read_dir(root) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(DetectorError::Io(format!("read {}: {e}", root.display()))),
+    };
+    for entry in entries {
+        let entry = entry.map_err(|e| DetectorError::Io(format!("read {}: {e}", root.display())))?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with("shard-") && name.contains("-e") {
+            return Err(DetectorError::WalMismatch(format!(
+                "{} holds live-migration directory {name}: that night moved stars between \
+                 shards, and fleets now run one static partition per night, so it cannot \
+                 be resumed",
+                root.display()
+            )));
+        }
     }
-}
-
-/// `<root>/fleet-plan` — the coordinator's rebalance-plan log.
-pub fn plan_wal_dir(root: &Path) -> PathBuf {
-    root.join("fleet-plan")
+    Ok(())
 }
 
 impl FleetCoordinator {
@@ -660,32 +435,14 @@ impl FleetCoordinator {
             fleet.shards[k] = Some(gov);
             fleet.states[k] = ShardState::Running;
         }
-        if let Some(root) = fleet.config.wal_root.clone() {
-            if fleet.config.epoch_frames > 0 {
-                let cfg = WalConfig {
-                    identity: plan_log_identity(&fleet.catalog),
-                    ..fleet.config.wal
-                };
-                fleet.plan_log = Some(WalWriter::create(&plan_wal_dir(&root), cfg)?);
-            }
-        }
         Ok(fleet)
     }
 
-    /// Resumes a fleet from its per-shard WALs, plan log, and migration
-    /// log. Pass the **initial** (epoch-0) `assignment` the night started
-    /// with — committed live migrations are rolled forward from the logs
-    /// and the returned fleet ends on the correct post-migration
-    /// assignment.
-    ///
-    /// Reconstruction order: recorded plans are re-read (never recomputed);
-    /// a trailing `Begin` without its `Commit` is rolled back (its partial
-    /// epoch directories deleted, the log truncated — the handoff
-    /// re-executes on the next poll); then every shard's directory chain is
-    /// replayed segment by segment, re-deriving each committed migration's
-    /// fence drain and merged snapshot install along the way. Queue,
-    /// ladder, counters, and the cost ledger all land bitwise on the
-    /// crashed process's state.
+    /// Resumes a fleet from its per-shard WALs. Pass the same `catalog`,
+    /// `assignment` and configuration the night started with: each shard is
+    /// rebuilt through the factory and replays its own directory, so queue,
+    /// ladder, suspects, and counters all land bitwise on the crashed
+    /// process's state.
     pub fn resume(
         catalog: StarCatalog,
         assignment: ShardAssignment,
@@ -698,79 +455,11 @@ impl FleetCoordinator {
                 "fleet resume needs a WAL root (the fleet ran without one)".into(),
             ));
         };
+        refuse_migrated_night(&root)?;
         let mut fleet = Self::skeleton(catalog, assignment, factory, fallback, config)?;
         let num_shards = fleet.assignment.num_shards();
-        if fleet.config.epoch_frames > 0 {
-            let cfg = WalConfig {
-                identity: plan_log_identity(&fleet.catalog),
-                ..fleet.config.wal
-            };
-            let (log, frames, _recovery) = WalWriter::resume(&plan_wal_dir(&root), cfg)?;
-            for frame in frames {
-                let shard_of: Vec<usize> = frame.values.iter().map(|&v| v as usize).collect();
-                let plan = ShardAssignment::from_plan(
-                    &fleet.catalog,
-                    num_shards,
-                    shard_of,
-                    u64::from(frame.meta),
-                )?;
-                fleet.plans.push(RebalancePlan {
-                    epoch: plan.epoch(),
-                    shard_of: plan.shard_map().to_vec(),
-                    fingerprint: plan.fingerprint(),
-                });
-            }
-            fleet.plan_log = Some(log);
-        }
-        // The migration log: a trailing Begin without its Commit is a
-        // half-finished handoff — roll it back to the fence so the night
-        // has exactly one deterministic outcome. Everything before it is
-        // committed and rolls forward below.
-        let plan_dir = plan_wal_dir(&root);
-        let mut records = migrate::read_migrations(&plan_dir)?;
-        if let Some(last) = records.last() {
-            if let MigrationRecord::Begin(b) = &last.record {
-                for snap in &b.affected {
-                    let dir = shard_epoch_wal_dir(&root, snap.shard as usize, b.epoch);
-                    if dir.exists() {
-                        std::fs::remove_dir_all(&dir).map_err(|e| {
-                            DetectorError::Io(format!(
-                                "roll back migration dir {}: {e}",
-                                dir.display()
-                            ))
-                        })?;
-                    }
-                }
-                let offset = last.offset;
-                migrate::truncate_migrations(&plan_dir, offset)?;
-                fleet.migrations_rolled_back += 1;
-                records.pop();
-            }
-        }
-        let mut committed: Vec<MigrationBegin> = Vec::new();
-        let mut iter = records.into_iter();
-        while let Some(rec) = iter.next() {
-            let MigrationRecord::Begin(b) = rec.record else {
-                return Err(DetectorError::Corrupt(
-                    "migration log: Commit without a preceding Begin".into(),
-                ));
-            };
-            match iter.next().map(|r| r.record) {
-                Some(MigrationRecord::Commit(c)) if c.epoch == b.epoch => committed.push(b),
-                _ => {
-                    return Err(DetectorError::Corrupt(format!(
-                        "migration log: Begin epoch {} not followed by its Commit",
-                        b.epoch
-                    )))
-                }
-            }
-        }
-        // Segment-by-segment replay of every shard's directory chain,
-        // starting from the epoch-0 layout the caller's assignment
-        // describes.
-        let mut replayed: Vec<Vec<GovernedVerdict>> = vec![Vec::new(); num_shards];
-        let mut recoveries: Vec<WalRecovery> = vec![WalRecovery::default(); num_shards];
-        let mut total_frames = vec![0usize; num_shards];
+        let mut replayed = Vec::with_capacity(num_shards);
+        let mut recoveries = Vec::with_capacity(num_shards);
         for k in 0..num_shards {
             let online = fleet.build_online(k)?;
             let (gov, verdicts, recovery) = StreamGovernor::resume_wal(
@@ -780,96 +469,15 @@ impl FleetCoordinator {
                 &shard_wal_dir(&root, k),
                 fleet.shard_wal_config(k),
             )?;
-            total_frames[k] += recovery.frames;
-            absorb_recovery(&mut recoveries[k], recovery);
-            for v in &verdicts {
-                fleet.charge_costs(k, v);
-            }
-            replayed[k].extend(verdicts);
+            fleet.frames_routed = fleet.frames_routed.max(recovery.frames);
+            fleet.emitted[k] = verdicts.len();
+            replayed.push(verdicts);
+            recoveries.push(recovery);
             fleet.shards[k] = Some(gov);
             fleet.states[k] = ShardState::Running;
         }
-        for begin in &committed {
-            let epoch = begin.epoch;
-            let shard_of: Vec<usize> = begin.shard_of.iter().map(|&s| s as usize).collect();
-            let planned = ShardAssignment::from_plan(&fleet.catalog, num_shards, shard_of, epoch)?;
-            let old_shard_of: Vec<usize> = fleet.assignment.shard_map().to_vec();
-            // The live fence ran at the first poll after the epoch-boundary
-            // offer — zero unfenced polls in between — so a full fenced
-            // drain of the replayed shard reproduces it bitwise.
-            for snap in &begin.affected {
-                let k = snap.shard as usize;
-                let drained = match fleet.shards[k].as_mut() {
-                    Some(gov) => gov.drain_fenced()?,
-                    None => {
-                        return Err(DetectorError::Corrupt(format!(
-                            "migration epoch {epoch} names shard {k}, which is not live"
-                        )))
-                    }
-                };
-                for v in &drained {
-                    fleet.charge_costs(k, v);
-                }
-                replayed[k].extend(drained);
-            }
-            // Roll forward: rebuild each affected shard from the recorded
-            // snapshots (exactly the live commit's derivation), then replay
-            // its new epoch directory before the next migration's fence.
-            for snap in &begin.affected {
-                let k = snap.shard as usize;
-                let new_members = planned.members(k).to_vec();
-                let (det, gov_state) =
-                    migrate::merge_shard_state(begin, &old_shard_of, k, &new_members)?;
-                let seed = Arc::new((det, gov_state));
-                let online = fleet.build_online_members(&new_members)?;
-                let mut gov = Self::seeded_governor(
-                    online,
-                    &fleet.config.overload,
-                    &fleet.fallback,
-                    &seed,
-                )?;
-                let dir = shard_epoch_wal_dir(&root, k, epoch);
-                let identity = planned.shard_identity_at(&fleet.catalog, k, epoch);
-                // The marker is advisory (the log is authoritative):
-                // validate it when present, restore it when the crash beat
-                // the marker write.
-                let members_u32: Vec<u32> = new_members.iter().map(|&s| s as u32).collect();
-                match migrate::read_commit_marker(&dir, Some(identity))? {
-                    Some((marker_epoch, _, _)) if marker_epoch != epoch => {
-                        return Err(DetectorError::Corrupt(format!(
-                            "commit marker in {} names epoch {marker_epoch}, log says {epoch}",
-                            dir.display()
-                        )));
-                    }
-                    Some(_) => {}
-                    None => migrate::write_commit_marker(&dir, epoch, identity, &members_u32)?,
-                }
-                let wal_config = WalConfig {
-                    identity,
-                    ..fleet.config.wal
-                };
-                let (verdicts, recovery) = gov.resume_wal_into(&dir, wal_config)?;
-                total_frames[k] += recovery.frames;
-                absorb_recovery(&mut recoveries[k], recovery);
-                for v in &verdicts {
-                    fleet.charge_costs_members(&new_members, v);
-                }
-                replayed[k].extend(verdicts);
-                fleet.shards[k] = Some(gov);
-                fleet.seeds[k] = Some(seed);
-                fleet.shard_epochs[k] = epoch;
-            }
-            fleet.stars_moved += moved_stars(fleet.assignment.shard_map(), planned.shard_map());
-            fleet.assignment = planned;
-            fleet.migrations_done += 1;
-        }
-        for k in 0..num_shards {
-            fleet.emitted[k] = replayed[k].len();
-            fleet.frames_routed = fleet.frames_routed.max(total_frames[k]);
-        }
         let resume = FleetResume {
             frames_routed: fleet.frames_routed,
-            plans_recovered: fleet.plans.len(),
             replayed,
             recoveries,
         };
@@ -894,7 +502,6 @@ impl FleetCoordinator {
         let num_shards = assignment.num_shards();
         let supervisor = Supervisor::new(config.shard_supervision.clone(), num_shards);
         Ok(Self {
-            costs: vec![0; catalog.len()],
             catalog,
             assignment,
             factory,
@@ -907,51 +514,24 @@ impl FleetCoordinator {
             emitted: vec![0; num_shards],
             trailing_polls: vec![0; num_shards],
             supervisor,
-            plan_log: None,
-            plans: Vec::new(),
             frames_routed: 0,
             shard_restarts: 0,
             shard_failures: 0,
             frames_lost: 0,
             frames_lost_per_shard: vec![0; num_shards],
-            shard_epochs: vec![0; num_shards],
-            pending_out: (0..num_shards).map(|_| VecDeque::new()).collect(),
-            seeds: vec![None; num_shards],
-            migrations_done: 0,
-            stars_moved: 0,
-            migrations_rolled_back: 0,
         })
     }
 
     fn shard_wal_config(&self, shard: usize) -> WalConfig {
         WalConfig {
-            identity: self.assignment.shard_identity_at(
-                &self.catalog,
-                shard,
-                self.shard_epochs[shard],
-            ),
+            identity: self.assignment.shard_identity(&self.catalog, shard),
             ..self.config.wal
         }
     }
 
     /// Builds shard `k`'s detector via the factory and validates its width.
     fn build_online(&self, shard: usize) -> DetectorResult<OnlineAero> {
-        self.build_online_members(self.assignment.members(shard))
-    }
-
-    /// Builds a detector over an explicit member set — the migration path
-    /// constructs shards for a membership the live assignment does not have
-    /// yet.
-    fn build_online_members(&self, members: &[usize]) -> DetectorResult<OnlineAero> {
-        let online = (self.factory)(members)?;
-        if online.num_variates() != members.len() {
-            return Err(DetectorError::Invalid(format!(
-                "factory built {} variates for {} member stars",
-                online.num_variates(),
-                members.len()
-            )));
-        }
-        Ok(online)
+        build_online(&self.factory, self.assignment.members(shard))
     }
 
     fn build_shard(&self, shard: usize) -> DetectorResult<StreamGovernor> {
@@ -961,70 +541,39 @@ impl FleetCoordinator {
         Ok(gov)
     }
 
-    /// Installs a merged migration snapshot into a factory-fresh detector
-    /// and wraps it in a governor — the common core of the live commit, the
-    /// post-migration shard restart, and the resume roll-forward. Clock
-    /// install precedes lane install: the suspect-countdown rebase is
-    /// relative to the governor's poll clock.
-    fn seeded_governor(
-        online: OnlineAero,
-        overload: &OverloadPolicy,
-        fallback: &Option<FallbackScorer>,
-        seed: &(DetectorState, GovernorState),
-    ) -> DetectorResult<StreamGovernor> {
-        let mut online = online;
-        online.install_migration(&seed.0)?;
-        let mut gov = StreamGovernor::with_policy(online, overload.clone())?;
-        gov.set_fallback(fallback.clone());
-        gov.install_clocks(&seed.1);
-        let mapping: Vec<(usize, usize)> = (0..seed.1.stars.len()).map(|i| (i, i)).collect();
-        gov.install_migration(&seed.1, &mapping)?;
-        Ok(gov)
-    }
-
-    /// Rebuilds a dead shard to its exact pre-death state: factory, seed
-    /// snapshot (when the shard has been migrated this night), WAL replay
-    /// of its current epoch directory, then re-execution of the
-    /// coordinator's trailing polls. Runs as an associated function so the
-    /// supervisor closure borrows nothing from `self`.
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuilds a dead shard to its exact pre-death state: factory, WAL
+    /// replay, then re-execution of the coordinator's trailing polls. Runs
+    /// as an associated function so the supervisor closure borrows nothing
+    /// from `self`.
     fn rebuild_shard(
         factory: &ShardFactory,
         members: &[usize],
         overload: &OverloadPolicy,
         fallback: &Option<FallbackScorer>,
-        wal_dir: Option<&Path>,
-        wal_config: WalConfig,
+        wal: Option<(&Path, WalConfig)>,
         trailing_polls: usize,
-        seed: Option<&(DetectorState, GovernorState)>,
     ) -> DetectorResult<StreamGovernor> {
-        let online = factory(members)?;
-        if online.num_variates() != members.len() {
-            return Err(DetectorError::Invalid(format!(
-                "factory built {} variates for {} member stars",
-                online.num_variates(),
-                members.len()
-            )));
-        }
-        let mut gov = match seed {
-            Some(seed) => Self::seeded_governor(online, overload, fallback, seed)?,
-            None => {
-                let mut gov = StreamGovernor::with_policy(online, overload.clone())?;
-                gov.set_fallback(fallback.clone());
-                gov
-            }
+        let online = build_online(factory, members)?;
+        let Some((dir, wal_config)) = wal else {
+            // Without a WAL the restart is a cold start; isolation still
+            // holds, the stream is not bitwise.
+            let mut gov = StreamGovernor::with_policy(online, overload.clone())?;
+            gov.set_fallback(fallback.clone());
+            return Ok(gov);
         };
-        if let Some(dir) = wal_dir {
-            // The replayed verdicts and these trailing re-polls were all
-            // emitted before the death; discard them so the caller's
-            // stream continues without duplicates.
-            let (_replayed, _recovery) = gov.resume_wal_into(dir, wal_config)?;
-            for _ in 0..trailing_polls {
-                gov.poll()?;
-            }
+        // The replayed verdicts and these trailing re-polls were all
+        // emitted before the death; discard them so the caller's stream
+        // continues without duplicates.
+        let (mut gov, _replayed, _recovery) = StreamGovernor::resume_wal(
+            online,
+            overload.clone(),
+            fallback.clone(),
+            dir,
+            wal_config,
+        )?;
+        for _ in 0..trailing_polls {
+            gov.poll()?;
         }
-        // Without a WAL the restart is a cold start from the seed (or from
-        // scratch); isolation still holds, the stream is not bitwise.
         Ok(gov)
     }
 
@@ -1049,23 +598,17 @@ impl FleetCoordinator {
         let members = self.assignment.members(shard).to_vec();
         let overload = self.config.overload.clone();
         let fallback = self.fallback.clone();
-        let root = self.config.wal_root.clone();
-        let wal_dir = root
-            .as_deref()
-            .map(|r| shard_epoch_wal_dir(r, shard, self.shard_epochs[shard]));
+        let wal_dir = self.config.wal_root.as_deref().map(|r| shard_wal_dir(r, shard));
         let wal_config = self.shard_wal_config(shard);
         let trailing = self.trailing_polls[shard];
-        let seed = self.seeds[shard].clone();
         let outcome = self.supervisor.run(shard, || {
             Self::rebuild_shard(
                 &factory,
                 &members,
                 &overload,
                 &fallback,
-                wal_dir.as_deref(),
-                wal_config,
+                wal_dir.as_deref().map(|d| (d, wal_config)),
                 trailing,
-                seed.as_deref(),
             )
         });
         match outcome {
@@ -1084,238 +627,6 @@ impl FleetCoordinator {
                 self.last_errors[shard] = Some(e.into_detector_error().to_string());
             }
         }
-    }
-
-    /// Adds a serviced verdict's measured work to the per-star cost ledger.
-    fn charge_costs(&mut self, shard: usize, verdict: &GovernedVerdict) {
-        for (local, &star) in self.assignment.members[shard].iter().enumerate() {
-            self.costs[star] += star_cost(
-                verdict.shed[local],
-                verdict.classes[local],
-                verdict.levels[local],
-            );
-        }
-    }
-
-    /// [`charge_costs`](Self::charge_costs) against an explicit member set:
-    /// resume replays verdicts recorded under memberships the in-flight
-    /// reconstruction has not switched to (or has already switched past).
-    fn charge_costs_members(&mut self, members: &[usize], verdict: &GovernedVerdict) {
-        for (local, &star) in members.iter().enumerate() {
-            self.costs[star] += star_cost(
-                verdict.shed[local],
-                verdict.classes[local],
-                verdict.levels[local],
-            );
-        }
-    }
-
-    /// Computes (and logs) any rebalance plan whose epoch boundary the
-    /// routed-frame count has crossed. Plans recovered from the log are
-    /// never recomputed, so a resumed run continues the identical sequence.
-    fn maybe_plan(&mut self) -> DetectorResult<()> {
-        let every = self.config.epoch_frames;
-        if every == 0 {
-            return Ok(());
-        }
-        while (self.plans.len() as u64 + 1) * every as u64 <= self.frames_routed as u64 {
-            let epoch = self.plans.len() as u64 + 1;
-            let planned = ShardAssignment::rebalance(
-                &self.catalog,
-                self.assignment.num_shards(),
-                self.config.seed,
-                &self.costs,
-                epoch,
-            )?;
-            let plan = RebalancePlan {
-                epoch,
-                shard_of: planned.shard_map().to_vec(),
-                fingerprint: planned.fingerprint(),
-            };
-            if let Some(log) = self.plan_log.as_mut() {
-                let values: Vec<f32> = plan.shard_of.iter().map(|&s| s as f32).collect();
-                log.append_with_meta(epoch as f64, &values, epoch as u32)?;
-            }
-            self.plans.push(plan);
-        }
-        Ok(())
-    }
-
-    /// The chaos hook: aborts the handoff with a typed error at the
-    /// configured phase boundary, leaving exactly the on-disk state a
-    /// `kill -9` at that instant would. The coordinator must be dropped and
-    /// resumed afterwards.
-    fn chaos_kill(&self, epoch: u64, point: MigrationKillPoint) -> DetectorResult<()> {
-        if self.config.chaos_migration_kill == Some((epoch, point)) {
-            return Err(DetectorError::Io(format!(
-                "chaos: killed at {point:?} of migration epoch {epoch}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Applies every recorded-but-unapplied plan through the two-phase
-    /// handoff, in epoch order. Runs at the top of [`poll`](Self::poll),
-    /// immediately after [`maybe_plan`](Self::maybe_plan): the
-    /// epoch-boundary offer is always the last record of the superseded
-    /// directories, so recovery's fence-drain reproduces the live one
-    /// exactly (no unfenced poll can slip between boundary and fence).
-    fn maybe_migrate(&mut self) -> DetectorResult<()> {
-        if !self.config.migrate_live {
-            return Ok(());
-        }
-        while self.migrations_done < self.plans.len() {
-            if !self.execute_migration()? {
-                // An affected shard is down/quarantined: defer and retry
-                // next poll. Recovery is directory-driven, so the deferral
-                // shifts nothing — the fence lands wherever the drain does.
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes the next plan's handoff end to end: fence + snapshot,
-    /// durable `Begin`, destination build, durable `Commit` + markers,
-    /// in-memory flip. `Ok(false)` defers (an affected shard isn't
-    /// running). An `Err` mid-handoff leaves the coordinator unusable —
-    /// crash-only by design; drop it and [`resume`](Self::resume).
-    fn execute_migration(&mut self) -> DetectorResult<bool> {
-        let num_shards = self.assignment.num_shards();
-        let plan = &self.plans[self.migrations_done];
-        let epoch = plan.epoch;
-        let planned =
-            ShardAssignment::from_plan(&self.catalog, num_shards, plan.shard_of.clone(), epoch)?;
-        let affected: Vec<usize> = (0..num_shards)
-            .filter(|&k| self.assignment.members(k) != planned.members(k))
-            .collect();
-        if affected.is_empty() {
-            // The plan re-derives the current assignment: nothing moves,
-            // no fence, no new directories.
-            self.migrations_done += 1;
-            return Ok(true);
-        }
-        self.chaos_kill(epoch, MigrationKillPoint::PreFence)?;
-        for &k in &affected {
-            self.ensure_running(k);
-            if self.shards[k].is_none() {
-                return Ok(false);
-            }
-        }
-        // Phase 1 — fence. Each affected shard drains its in-flight queue
-        // under the fence (no shedding, ladder frozen), the drained
-        // verdicts move to the hold-out queue (their costs charged now, at
-        // their true service point), and the shard's full state is
-        // exported.
-        let mut snapshots = Vec::with_capacity(affected.len());
-        for &k in &affected {
-            let drained = match self.shards[k].as_mut() {
-                Some(gov) => gov.drain_fenced()?,
-                None => return Ok(false),
-            };
-            for v in &drained {
-                self.charge_costs(k, v);
-            }
-            self.pending_out[k].extend(drained);
-            let (detector, governor) = match self.shards[k].as_ref() {
-                Some(gov) => (gov.online().export_migration(), gov.export_migration()?),
-                None => return Ok(false),
-            };
-            snapshots.push(ShardSnapshot {
-                shard: k as u32,
-                members: self
-                    .assignment
-                    .members(k)
-                    .iter()
-                    .map(|&s| s as u32)
-                    .collect(),
-                detector,
-                governor,
-            });
-        }
-        self.chaos_kill(epoch, MigrationKillPoint::PostFence)?;
-        let record = MigrationRecord::Begin(MigrationBegin {
-            epoch,
-            frames_routed: self.frames_routed as u64,
-            shard_of: planned.shard_map().iter().map(|&s| s as u32).collect(),
-            affected: snapshots,
-        });
-        let root = self.config.wal_root.clone();
-        if let Some(root) = &root {
-            migrate::append_migration(&plan_wal_dir(root), &record)?;
-        }
-        let MigrationRecord::Begin(begin) = record else {
-            unreachable!()
-        };
-        // Phase 2 — build each destination: factory model for the new
-        // membership, merged snapshot installed (moved stars aligned to the
-        // destination's timestamps), fresh epoch-versioned WAL directory.
-        let old_shard_of: Vec<usize> = self.assignment.shard_map().to_vec();
-        let mut staged = Vec::with_capacity(affected.len());
-        for &k in &affected {
-            let new_members = planned.members(k).to_vec();
-            let (det, gov_state) =
-                migrate::merge_shard_state(&begin, &old_shard_of, k, &new_members)?;
-            let seed = Arc::new((det, gov_state));
-            let online = self.build_online_members(&new_members)?;
-            let mut gov =
-                Self::seeded_governor(online, &self.config.overload, &self.fallback, &seed)?;
-            if let Some(root) = &root {
-                let dir = shard_epoch_wal_dir(root, k, epoch);
-                if dir.exists() {
-                    // Can only be garbage from an attempt that never
-                    // committed (a committed epoch advances
-                    // `migrations_done` past this plan), so clear it.
-                    std::fs::remove_dir_all(&dir).map_err(|e| {
-                        DetectorError::Io(format!(
-                            "clear stale migration dir {}: {e}",
-                            dir.display()
-                        ))
-                    })?;
-                }
-                let wal_config = WalConfig {
-                    identity: planned.shard_identity_at(&self.catalog, k, epoch),
-                    ..self.config.wal
-                };
-                let wal = WalWriter::create(&dir, wal_config)?;
-                gov.attach_wal(wal)?;
-            }
-            staged.push((k, gov, seed));
-        }
-        self.chaos_kill(epoch, MigrationKillPoint::PreCommit)?;
-        // Phase 3 — commit: the durable decision record, then a marker in
-        // every new directory binding it to its epoch and identity.
-        if let Some(root) = &root {
-            migrate::append_migration(
-                &plan_wal_dir(root),
-                &MigrationRecord::Commit(MigrationCommit { epoch }),
-            )?;
-            for &k in &affected {
-                let members: Vec<u32> = planned.members(k).iter().map(|&s| s as u32).collect();
-                migrate::write_commit_marker(
-                    &shard_epoch_wal_dir(root, k, epoch),
-                    epoch,
-                    planned.shard_identity_at(&self.catalog, k, epoch),
-                    &members,
-                )?;
-            }
-        }
-        self.chaos_kill(epoch, MigrationKillPoint::PostCommit)?;
-        // Flip — atomic in memory. Replaced governors (and their sealed
-        // WAL handles) drop here; the superseded directories stay on disk
-        // for recovery replay.
-        for (k, gov, seed) in staged {
-            self.shards[k] = Some(gov);
-            self.states[k] = ShardState::Running;
-            self.last_errors[k] = None;
-            self.shard_epochs[k] = epoch;
-            self.seeds[k] = Some(seed);
-            self.trailing_polls[k] = 0;
-        }
-        self.stars_moved += moved_stars(self.assignment.shard_map(), planned.shard_map());
-        self.assignment = planned;
-        self.migrations_done += 1;
-        Ok(true)
     }
 
     /// Routes one full-sky frame: each shard receives its member stars'
@@ -1372,8 +683,6 @@ impl FleetCoordinator {
     /// shard yields `None` this round, is marked dead, and restarts on the
     /// next round — every other shard's verdict is unaffected.
     pub fn poll(&mut self) -> DetectorResult<Vec<Option<GovernedVerdict>>> {
-        self.maybe_plan()?;
-        self.maybe_migrate()?;
         let num_shards = self.assignment.num_shards();
         for k in 0..num_shards {
             self.ensure_running(k);
@@ -1383,7 +692,7 @@ impl FleetCoordinator {
         });
         let mut out = Vec::with_capacity(num_shards);
         for (k, result) in results.into_iter().enumerate() {
-            let produced = match result {
+            let verdict = match result {
                 // The shard's poll panicked: capture, isolate, restart later.
                 Err(shard_err) => {
                     self.fail_shard(k, shard_err.to_string());
@@ -1398,32 +707,13 @@ impl FleetCoordinator {
                 }
                 Ok(Some(Ok(verdict))) => {
                     self.trailing_polls[k] += 1;
-                    if let Some(v) = &verdict {
-                        self.charge_costs(k, v);
-                    }
                     verdict
                 }
             };
-            // `pending_out` is a pure reorder buffer: a migration's
-            // fence-drained verdicts were serviced before the handoff, so
-            // they leave first, in order, while the governor keeps its
-            // normal one-poll-per-round cadence behind them. Costs were
-            // charged at production (fence drain or the poll above), never
-            // at emission, so a crash inside this window loses nothing —
-            // resume re-derives every verdict and emits the backlog as
-            // replayed output.
-            let emit = if self.pending_out[k].is_empty() {
-                produced
-            } else {
-                if let Some(v) = produced {
-                    self.pending_out[k].push_back(v);
-                }
-                self.pending_out[k].pop_front()
-            };
-            if emit.is_some() {
+            if verdict.is_some() {
                 self.emitted[k] += 1;
             }
-            out.push(emit);
+            out.push(verdict);
         }
         Ok(out)
     }
@@ -1499,9 +789,6 @@ impl FleetCoordinator {
             shard_failures: self.shard_failures,
             shards_down,
             frames_lost: self.frames_lost,
-            rebalance_plans: self.plans.len(),
-            stars_moved: self.stars_moved,
-            migrations_rolled_back: self.migrations_rolled_back,
             supervisor: self.supervisor.stats(),
             aggregate,
         }
@@ -1517,22 +804,6 @@ impl FleetCoordinator {
         &self.assignment
     }
 
-    /// Rebalance plans recorded so far (oldest first).
-    pub fn plans(&self) -> &[RebalancePlan] {
-        &self.plans
-    }
-
-    /// The most recent rebalance plan, if any — apply it to the next fleet
-    /// construction via [`ShardAssignment::from_plan`].
-    pub fn latest_plan(&self) -> Option<&RebalancePlan> {
-        self.plans.last()
-    }
-
-    /// The per-star measured cost ledger (global variate order).
-    pub fn costs(&self) -> &[u64] {
-        &self.costs
-    }
-
     /// Full-sky frames routed so far.
     pub fn frames_routed(&self) -> usize {
         self.frames_routed
@@ -1541,27 +812,6 @@ impl FleetCoordinator {
     /// Shard `k`'s lifecycle state.
     pub fn shard_state(&self, shard: usize) -> ShardState {
         self.states[shard]
-    }
-
-    /// Plan epoch of shard `k`'s last membership change (0 = never
-    /// migrated); names its current WAL directory.
-    pub fn shard_epoch(&self, shard: usize) -> u64 {
-        self.shard_epochs[shard]
-    }
-
-    /// Stars re-homed by committed live migrations so far.
-    pub fn stars_moved(&self) -> usize {
-        self.stars_moved
-    }
-
-    /// Half-finished migrations this process rolled back on resume.
-    pub fn migrations_rolled_back(&self) -> usize {
-        self.migrations_rolled_back
-    }
-
-    /// The per-star measured-cost ledger feeding rebalance plans.
-    pub fn star_costs(&self) -> &[u64] {
-        &self.costs
     }
 
     /// The shard-level supervisor (restart retries, breaker, probes).
@@ -1610,23 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_follows_measured_costs() {
-        let cat = catalog(6);
-        // One hot star: LPT puts it alone on one shard, spreading the rest.
-        let costs = [1000, 1, 1, 1, 1, 1];
-        let plan = ShardAssignment::rebalance(&cat, 2, 0, &costs, 1).unwrap();
-        let hot = plan.shard_of(0);
-        assert_eq!(plan.members(hot), &[0], "hot star isolated");
-        assert_eq!(plan.members(1 - hot).len(), 5);
-        // All-zero costs still fill every shard (cost floor of one unit).
-        let plan = ShardAssignment::rebalance(&cat, 3, 0, &[0; 6], 2).unwrap();
-        for k in 0..3 {
-            assert!(!plan.members(k).is_empty());
-        }
-        assert!(ShardAssignment::rebalance(&cat, 2, 0, &[1; 5], 1).is_err());
-    }
-
-    #[test]
     fn shard_identities_bind_catalog_and_membership() {
         let cat = catalog(8);
         let a = ShardAssignment::partition(&cat, 2, 1).unwrap();
@@ -1634,37 +867,12 @@ mod tests {
         let id1 = a.shard_identity(&cat, 1);
         assert_eq!(id0.shard_id, 0);
         assert_ne!(id0.catalog_hash, id1.catalog_hash);
-        // Same shard index under a different membership gets a different
-        // identity (here: explicit plans swapping two stars).
-        let p1 = ShardAssignment::from_plan(&cat, 2, vec![0, 0, 0, 0, 1, 1, 1, 1], 1).unwrap();
-        let p2 = ShardAssignment::from_plan(&cat, 2, vec![0, 0, 0, 1, 0, 1, 1, 1], 1).unwrap();
-        assert_ne!(
-            p1.shard_identity(&cat, 0).catalog_hash,
-            p2.shard_identity(&cat, 0).catalog_hash
-        );
-    }
-
-    #[test]
-    fn from_plan_validates_and_roundtrips() {
-        let cat = catalog(5);
-        let plan = ShardAssignment::rebalance(&cat, 2, 3, &[5, 4, 3, 2, 1], 4).unwrap();
-        let re = ShardAssignment::from_plan(&cat, 2, plan.shard_map().to_vec(), 4).unwrap();
-        assert_eq!(plan, re);
-        assert!(ShardAssignment::from_plan(&cat, 2, vec![0, 1, 2, 0, 0], 1).is_err());
-        assert!(ShardAssignment::from_plan(&cat, 2, vec![0, 1], 1).is_err());
-    }
-
-    #[test]
-    fn star_costs_rank_pipeline_rungs() {
-        use LadderLevel::*;
-        use PriorityClass::*;
-        assert_eq!(star_cost(true, Nominal, FullAero), 0);
-        assert!(star_cost(false, Suspect, HoldLast) == star_cost(false, Nominal, FullAero));
-        let mut last = u64::MAX;
-        for level in [FullAero, Stage1Only, SrFallback, HoldLast] {
-            let c = star_cost(false, Nominal, level);
-            assert!(c < last, "costs strictly decrease down the ladder");
-            last = c;
-        }
+        // Same shard index under a different membership (another seed's
+        // partition) gets a different identity.
+        let b = (2..)
+            .map(|seed| ShardAssignment::partition(&cat, 2, seed).unwrap())
+            .find(|b| b.members(0) != a.members(0))
+            .unwrap();
+        assert_ne!(id0.catalog_hash, b.shard_identity(&cat, 0).catalog_hash);
     }
 }

@@ -28,13 +28,13 @@ pub mod detector;
 pub mod fleet;
 pub mod graph_learn;
 pub mod memory;
-pub mod migrate;
 pub mod model;
 pub mod online;
 pub mod overload;
 pub mod persist;
 pub mod report;
 pub mod serve;
+pub mod snapshot;
 pub mod supervisor;
 pub mod temporal;
 pub mod wal;
@@ -46,17 +46,13 @@ pub use detector::{
     run_detection, Detector, DetectorError, DetectorResult, RunOutcome, RunTiming,
 };
 pub use fleet::{
-    FleetConfig, FleetCoordinator, FleetHealth, FleetResume, RebalancePlan, ShardAssignment,
-    ShardFactory, ShardHealth, ShardState, StarCatalog,
+    FleetConfig, FleetCoordinator, FleetHealth, FleetResume, ShardAssignment, ShardFactory,
+    ShardHealth, ShardState, StarCatalog,
 };
 pub use graph_learn::{window_adjacency, GraphBuilder};
 pub use memory::{
     aero_inference_memory, aero_memory, baseline_memory, shared_fleet_memory, star_delta_bytes,
     MemoryEstimate, SharedFleetEstimate,
-};
-pub use migrate::{
-    DetectorState, GovernorStarState, GovernorState, MigrationBegin, MigrationCommit,
-    MigrationKillPoint, MigrationRecord, ShardSnapshot, StarLane,
 };
 pub use model::{Aero, BackboneSnapshot, ChaosHook, ScoreMode, ShardFailure, StarDelta};
 pub use online::{
@@ -74,6 +70,7 @@ pub use report::{
     to_json, EventCandidate, FrameTotals,
 };
 pub use serve::{ServeConfig, ServeCore, ServeOptions, ServeReport, ServeState};
+pub use snapshot::{DetectorState, GovernorStarState, GovernorState, ShardSnapshot, StarLane};
 pub use supervisor::{
     BreakerState, SupervisionError, Supervisor, SupervisorPolicy, SupervisorStats,
 };

@@ -1091,7 +1091,7 @@ impl Aero {
         self.adapters.as_ref()
     }
 
-    /// Mutable adapter access (persistence / migration install paths).
+    /// Mutable adapter access (persistence / snapshot install paths).
     pub(crate) fn adapters_mut(&mut self) -> Option<&mut AdapterSet> {
         self.adapters.as_mut()
     }
@@ -1176,7 +1176,7 @@ impl Aero {
 
     /// Star `v`'s full per-star state beyond the shared trunk: its scaler
     /// column plus (when adapters are enabled) its trained head. This is the
-    /// kilobyte-scale unit that v3 checkpoints and mid-night migration move.
+    /// kilobyte-scale unit that v3 checkpoints and shard snapshots move.
     pub fn star_delta(&self, v: usize) -> DetectorResult<StarDelta> {
         if !self.trained {
             return Err(DetectorError::Invalid("call fit() first".into()));
@@ -1303,7 +1303,7 @@ impl BackboneSnapshot {
 
 /// One star's detector state beyond the shared trunk: its scaler column and
 /// (when adapters are enabled) its trained head. Kilobytes, not a model —
-/// the unit v3 checkpoints store per star and mid-night migration ships.
+/// the unit v3 checkpoints store per star and shard snapshots carry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StarDelta {
     /// The star's fitted min (scaler statistics).

@@ -35,7 +35,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use aero_evt::{pot_threshold, PotConfig, PotThreshold};
+use aero_evt::{max_excesses, pot_threshold, PotConfig, PotThreshold, MIN_PEAKS};
 use aero_tensor::Matrix;
 use aero_timeseries::MultivariateSeries;
 
@@ -348,8 +348,8 @@ pub struct OnlineAero {
     /// EWMA estimate of the nominal inter-frame cadence.
     cadence: f64,
     /// Recent finite, non-quarantined scores retained for threshold refits,
-    /// one lane per star so a migrating star carries its refit history with
-    /// it (lanes are concatenated star-major at refit time).
+    /// one lane per star so a snapshot carries each star's refit history
+    /// (lanes are concatenated star-major at refit time).
     score_history: Vec<VecDeque<f32>>,
     health: HealthReport,
     /// Supervision units `0..n` are the stars, unit `n` the POT refit, unit
@@ -392,6 +392,22 @@ impl OnlineAero {
         pot: PotConfig,
         policy: DegradePolicy,
     ) -> DetectorResult<Self> {
+        let n = calibration.num_variates();
+        if policy.refit_interval > 0 {
+            // The most scores a refit ever sees is every lane full; if even
+            // that many cannot put MIN_PEAKS over the POT quantile, every
+            // refit of the night would fail.
+            let most = history_cap(policy.refit_window, n) * n;
+            let peaks = max_excesses(most, pot.level);
+            if peaks < MIN_PEAKS {
+                return Err(DetectorError::Invalid(format!(
+                    "refit_window {} keeps at most {most} scores over {n} stars; at POT \
+                     level {} at most {peaks} of them exceed the quantile, and a refit \
+                     needs {MIN_PEAKS}",
+                    policy.refit_window, pot.level
+                )));
+            }
+        }
         if !model.is_trained() {
             return Err(DetectorError::Invalid("model must be trained".into()));
         }
@@ -408,7 +424,6 @@ impl OnlineAero {
         let threshold = pot_threshold(&flat, pot)?;
 
         let capacity = model.config().window;
-        let n = calibration.num_variates();
         let tail_start = calibration.len().saturating_sub(capacity);
         let mut buffer = VecDeque::with_capacity(capacity + 1);
         let mut timestamps = VecDeque::with_capacity(capacity + 1);
@@ -986,31 +1001,33 @@ impl OnlineAero {
         // POT refits run under the policy deadline but bypass the breaker:
         // a refit that fails on a thin tail today may succeed once more
         // scores accumulate, and a stale-but-valid threshold is an
-        // acceptable fallback in the meantime.
+        // acceptable fallback in the meantime. The fit is pure, so a typed
+        // `PotError` is the answer for these scores, not a fault: it comes
+        // back as a value and is never retried. Panics and deadline
+        // overruns are the supervisor's to retry.
         let refit_unit = self.num_variates;
         let deadline = self.policy.supervision.deadline;
-        match self
-            .supervisor
-            .run_with(refit_unit, deadline, false, || pot_threshold(&recent, pot))
-        {
-            Ok(t) => {
+        match self.supervisor.run_with(refit_unit, deadline, false, || {
+            Ok::<_, DetectorError>(pot_threshold(&recent, pot))
+        }) {
+            Ok(Ok(t)) => {
                 self.threshold = t;
                 self.health.threshold_refits += 1;
             }
-            Err(_) => {
+            Ok(Err(_)) | Err(_) => {
                 self.health.threshold_refit_failures += 1;
             }
         }
     }
 
-    /// Snapshots the detector half of a shard for live migration (DESIGN.md
-    /// §16): window buffers in star-major lanes, the poll-independent shard
+    /// Snapshots the detector half of a shard (see [`crate::snapshot`]):
+    /// window buffers in star-major lanes, the poll-independent shard
     /// clocks, the calibrated threshold, health counters, and every
     /// supervisor breaker.
-    pub fn export_migration(&self) -> crate::migrate::DetectorState {
+    pub fn export_snapshot(&self) -> crate::snapshot::DetectorState {
         let n = self.num_variates;
         let stars = (0..n)
-            .map(|v| crate::migrate::StarLane {
+            .map(|v| crate::snapshot::StarLane {
                 window: self.buffer.iter().map(|row| row[v]).collect(),
                 imputed: self.imputed.iter().map(|row| row[v]).collect(),
                 status: self.star_status[v],
@@ -1021,7 +1038,7 @@ impl OnlineAero {
                 adapter: self.model.adapters().and_then(|a| a.head(v)).cloned(),
             })
             .collect();
-        crate::migrate::DetectorState {
+        crate::snapshot::DetectorState {
             timestamps: self.timestamps.iter().copied().collect(),
             cadence: self.cadence,
             frames_seen: self.frames_seen as u64,
@@ -1035,20 +1052,19 @@ impl OnlineAero {
         }
     }
 
-    /// Installs a migrated shard snapshot over a freshly built detector
-    /// (same model config, new membership). `state.stars` must already be
-    /// assembled in this detector's star order, with every lane's window
-    /// aligned to `state.timestamps` (see
-    /// [`crate::migrate::align_star_lane`]). Replaces window buffers,
-    /// clocks, threshold, health, and supervisor state wholesale.
-    pub fn install_migration(
+    /// Installs an exported snapshot over a freshly built detector of the
+    /// same model config and membership (`state.stars` in this detector's
+    /// star order, every lane's window parallel to `state.timestamps`).
+    /// Replaces window buffers, clocks, threshold, health, and supervisor
+    /// state wholesale.
+    pub fn install_snapshot(
         &mut self,
-        state: &crate::migrate::DetectorState,
+        state: &crate::snapshot::DetectorState,
     ) -> DetectorResult<()> {
         let n = self.num_variates;
         if state.stars.len() != n {
             return Err(DetectorError::Invalid(format!(
-                "migration snapshot has {} star lanes for a {n}-star detector",
+                "snapshot has {} star lanes for a {n}-star detector",
                 state.stars.len()
             )));
         }
@@ -1280,6 +1296,66 @@ mod tests {
             "refits never attempted: {h:?}"
         );
         assert!(online.threshold().threshold.is_finite());
+    }
+
+    #[test]
+    fn failed_refit_costs_one_fit() {
+        let (model, ds) = trained();
+        // A refit after every frame: the first ones see only a handful of
+        // scores, too few excesses for a tail fit.
+        let policy = DegradePolicy { refit_interval: 1, ..DegradePolicy::default() };
+        assert!(policy.supervision.max_retries > 0, "retries must be on to be skipped");
+        let mut online =
+            OnlineAero::with_policy(model, &ds.train, PotConfig::default(), policy).unwrap();
+        let before = *online.threshold();
+        let base = *ds.train.timestamps().last().unwrap();
+        let frame: Vec<f32> = (0..ds.num_variates()).map(|v| ds.test.get(v, 0)).collect();
+        online.push(base + 1.0, &frame).unwrap();
+        assert_eq!(online.health().threshold_refit_failures, 1);
+        assert_eq!(*online.threshold(), before, "last known-good threshold kept");
+        let stats = online.supervisor().stats();
+        assert_eq!(stats.retries, 0, "a typed POT failure is not retried: {stats:?}");
+        assert_eq!(stats.task_failures, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn refit_policy_that_can_never_fit_is_rejected() {
+        let ds = SyntheticConfig::tiny(402).build();
+        let n = ds.num_variates();
+        let pot = PotConfig::default();
+        let untrained = || Aero::new(AeroConfig::tiny()).unwrap();
+        let policy = |refit_window| DegradePolicy {
+            refit_interval: 8,
+            refit_window,
+            ..DegradePolicy::default()
+        };
+        let rejected = |refit_window| {
+            // The policy check runs first, so an untrained model isolates it.
+            match OnlineAero::with_policy(untrained(), &ds.train, pot, policy(refit_window)) {
+                Err(DetectorError::Invalid(msg)) => msg.contains("refit_window"),
+                _ => false,
+            }
+        };
+        let smallest = (1..).find(|&w| !rejected(w)).unwrap();
+        assert!(smallest > 1 && rejected(smallest - 1));
+        // The boundary is pot.rs's own: a full history one window smaller
+        // cannot fit even on distinct scores, the accepted one can.
+        let fits = |w| {
+            let m = history_cap(w, n) * n;
+            let scores: Vec<f32> = (0..m).map(|v| v as f32).collect();
+            !matches!(pot_threshold(&scores, pot), Err(aero_evt::PotError::TooFewPeaks { .. }))
+        };
+        assert!(fits(smallest) && !fits(smallest - 1), "boundary at {smallest}");
+        // Accepted windows construct: the boundary itself, the CLI default
+        // (4096) and the crash-recovery suite's 1024.
+        for w in [smallest, 4096, 1024] {
+            let (model, ds) = trained();
+            assert!(OnlineAero::with_policy(model, &ds.train, pot, policy(w)).is_ok(), "{w}");
+        }
+        // Refits off: any window is fine.
+        let off = DegradePolicy { refit_window: 1, ..DegradePolicy::default() };
+        let (model, ds) = trained();
+        assert!(OnlineAero::with_policy(model, &ds.train, pot, off).is_ok());
     }
 
     #[test]

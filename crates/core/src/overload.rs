@@ -557,10 +557,6 @@ pub struct StreamGovernor {
     /// Per-tenant token buckets (present only when the policy enables
     /// tenancy). BTreeMap so refills iterate in tenant-id order.
     tenant_buckets: std::collections::BTreeMap<u32, u32>,
-    /// Migration fence (see [`drain_fenced`](Self::drain_fenced)): while
-    /// set, polls neither shed stars nor step the ladder — an
-    /// administrative drain is not load.
-    fenced: bool,
     /// Set when an append failed with [`DetectorError::WalFull`]: the log
     /// was detached and every star forced to `HoldLast` instead of
     /// crashing the stream.
@@ -593,7 +589,6 @@ impl StreamGovernor {
             budget,
             fallback: None,
             tenant_buckets: std::collections::BTreeMap::new(),
-            fenced: false,
             wal_exhausted: false,
         })
     }
@@ -778,18 +773,10 @@ impl StreamGovernor {
         }
 
         // Pressure signal = depth at poll time (the frame being serviced
-        // included): a pure function of the offer/poll interleaving. A
-        // migration fence suppresses both the ladder and the shed set: the
-        // backlog being flushed is administrative, not arrival pressure, and
-        // a star must not leave its shard with a shed mark it would never
-        // have earned in an uninterrupted run.
+        // included): a pure function of the offer/poll interleaving.
         let classes = self.classes();
-        let shed = if self.fenced {
-            vec![false; n]
-        } else {
-            self.step_ladder(depth);
-            self.shed_set(depth, &classes)
-        };
+        self.step_ladder(depth);
+        let shed = self.shed_set(depth, &classes);
 
         let modes: Vec<ScoreMode> = (0..n)
             .map(|v| {
@@ -901,19 +888,6 @@ impl StreamGovernor {
         Ok(out)
     }
 
-    /// Polls until the queue is empty under a migration fence: no star is
-    /// shed and the ladder holds still, so the drained verdicts are exactly
-    /// what an unfenced, unpressured governor would have produced. This is
-    /// phase 1 of a live handoff (DESIGN.md §16) — after it returns, the
-    /// governor is quiescent and [`export_migration`](Self::export_migration)
-    /// can snapshot it.
-    pub fn drain_fenced(&mut self) -> DetectorResult<Vec<GovernedVerdict>> {
-        self.fenced = true;
-        let out = self.drain();
-        self.fenced = false;
-        out
-    }
-
     /// Steps the hysteretic ladder from the queue-depth signal.
     fn step_ladder(&mut self, depth: usize) {
         if self.wal_exhausted {
@@ -1009,10 +983,13 @@ impl StreamGovernor {
     }
 
     /// Resumes a governed stream from its write-ahead log: builds a fresh
-    /// governor around `online` (same model, same calibration) and runs
-    /// [`resume_wal_into`](Self::resume_wal_into) on it, reproducing queue,
-    /// ladder, suspect set, and every counter bitwise. Returns the replayed
-    /// verdicts so the caller can deduplicate against already-emitted output.
+    /// governor around `online` (same model, same calibration), recovers the
+    /// log's longest valid prefix, replays the recorded offer/poll
+    /// interleaving (each record's meta word carries its tenant and the polls
+    /// serviced since the previous offer), then attaches the healed log —
+    /// reproducing queue, ladder, suspect set, and every counter bitwise.
+    /// Returns the replayed verdicts so the caller can deduplicate against
+    /// already-emitted output.
     pub fn resume_wal(
         online: OnlineAero,
         policy: OverloadPolicy,
@@ -1027,64 +1004,41 @@ impl StreamGovernor {
         }
         let mut gov = Self::with_policy(online, policy)?;
         gov.fallback = fallback;
-        let (verdicts, recovery) = gov.resume_wal_into(dir, config)?;
-        Ok((gov, verdicts, recovery))
-    }
-
-    /// Resumes a governed stream from a WAL on top of this governor: recovers
-    /// the log's longest valid prefix, replays the recorded offer/poll
-    /// interleaving (each record's meta word carries its tenant and the polls
-    /// serviced since the previous offer), then attaches the healed log.
-    /// [`resume_wal`](Self::resume_wal) runs it on a fresh governor; the
-    /// post-commit half of a live shard migration (DESIGN.md §16) runs it on
-    /// a governor seeded via [`install_migration`](Self::install_migration),
-    /// replaying the shard's *new* epoch directory — frames appended after
-    /// the handoff committed. The governor must not already own a WAL.
-    pub fn resume_wal_into(
-        &mut self,
-        dir: &Path,
-        config: WalConfig,
-    ) -> DetectorResult<(Vec<GovernedVerdict>, WalRecovery)> {
-        if self.wal.is_some() {
-            return Err(DetectorError::Invalid(
-                "governor already owns a WAL; detach it before resume_wal_into".into(),
-            ));
-        }
         let (wal, frames, recovery) = WalWriter::resume(dir, config)?;
         let mut verdicts = Vec::new();
         for frame in frames {
             let (tenant, polls) = unpack_meta(frame.meta);
             for _ in 0..polls {
-                if let Some(v) = self.poll()? {
+                if let Some(v) = gov.poll()? {
                     verdicts.push(v);
                 }
             }
-            self.admit(tenant, frame.timestamp, &frame.values);
-            self.polls_since_offer = 0;
+            gov.admit(tenant, frame.timestamp, &frame.values);
+            gov.polls_since_offer = 0;
         }
-        self.wal = Some(wal);
-        Ok((verdicts, recovery))
+        gov.wal = Some(wal);
+        Ok((gov, verdicts, recovery))
     }
 
-    /// Snapshots the governor half of a shard for migration: poll clock,
-    /// ladder/suspect/hold-last state per star, streaks, and tenant buckets.
-    /// Requires a drained queue ([`drain_fenced`](Self::drain_fenced) first)
-    /// — queued frames belong in the WAL, not the snapshot.
-    pub fn export_migration(&self) -> DetectorResult<crate::migrate::GovernorState> {
+    /// Snapshots the governor half of a shard (see [`crate::snapshot`]):
+    /// poll clock, ladder/suspect/hold-last state per star, streaks, and
+    /// tenant buckets. Requires an empty queue — queued frames belong in
+    /// the WAL, not the snapshot.
+    pub fn export_snapshot(&self) -> DetectorResult<crate::snapshot::GovernorState> {
         if !self.queue.is_empty() {
             return Err(DetectorError::Invalid(format!(
                 "cannot export a governor with {} queued frames; drain first",
                 self.queue.len()
             )));
         }
-        Ok(crate::migrate::GovernorState {
+        Ok(crate::snapshot::GovernorState {
             polls: self.polls as u64,
             polls_since_offer: self.polls_since_offer,
             pressure_streak: self.pressure_streak as u64,
             headroom_streak: self.headroom_streak as u64,
             tenant_buckets: self.tenant_buckets.iter().map(|(&t, &b)| (t, b)).collect(),
             stars: (0..self.levels.len())
-                .map(|v| crate::migrate::GovernorStarState {
+                .map(|v| crate::snapshot::GovernorStarState {
                     level: self.levels[v],
                     suspect_remaining: self.suspect_until[v].saturating_sub(self.polls) as u64,
                     last_score: self.last_verdicts[v].0,
@@ -1094,45 +1048,37 @@ impl StreamGovernor {
         })
     }
 
-    /// Installs a migrated governor snapshot, rebasing each star's suspect
-    /// deadline onto this governor's poll clock. `stars` maps each snapshot
-    /// lane to a star index here (destination shards install a sub-slice of
-    /// the source snapshot; a rebuilt shard installs all lanes in order).
-    pub fn install_migration(
+    /// Installs an exported governor snapshot over a freshly built governor
+    /// of the same membership: the shard-wide clocks, then every star's
+    /// rung, suspect deadline (rebased onto the installed poll clock) and
+    /// hold-last memory, lane `v` onto star `v`.
+    pub fn install_snapshot(
         &mut self,
-        state: &crate::migrate::GovernorState,
-        stars: &[(usize, usize)],
+        state: &crate::snapshot::GovernorState,
     ) -> DetectorResult<()> {
         if !self.queue.is_empty() {
             return Err(DetectorError::Invalid(
-                "cannot install migration state over a non-empty queue".into(),
+                "cannot install a snapshot over a non-empty queue".into(),
             ));
         }
-        for &(from, to) in stars {
-            let lane = state.stars.get(from).ok_or_else(|| {
-                DetectorError::Invalid(format!("snapshot lane {from} out of range"))
-            })?;
-            if to >= self.levels.len() {
-                return Err(DetectorError::Invalid(format!(
-                    "star index {to} out of range for {}-star governor",
-                    self.levels.len()
-                )));
-            }
-            self.levels[to] = lane.level;
-            self.suspect_until[to] = self.polls + lane.suspect_remaining as usize;
-            self.last_verdicts[to] = (lane.last_score, lane.last_anomalous);
+        if state.stars.len() != self.levels.len() {
+            return Err(DetectorError::Invalid(format!(
+                "snapshot has {} star lanes for a {}-star governor",
+                state.stars.len(),
+                self.levels.len()
+            )));
         }
-        Ok(())
-    }
-
-    /// Installs the shard-wide governor clocks from a snapshot (full-shard
-    /// rebuild only — a destination merging one star keeps its own clocks).
-    pub fn install_clocks(&mut self, state: &crate::migrate::GovernorState) {
         self.polls = state.polls as usize;
         self.polls_since_offer = state.polls_since_offer;
         self.pressure_streak = state.pressure_streak as usize;
         self.headroom_streak = state.headroom_streak as usize;
         self.tenant_buckets = state.tenant_buckets.iter().copied().collect();
+        for (v, lane) in state.stars.iter().enumerate() {
+            self.levels[v] = lane.level;
+            self.suspect_until[v] = self.polls + lane.suspect_remaining as usize;
+            self.last_verdicts[v] = (lane.last_score, lane.last_anomalous);
+        }
+        Ok(())
     }
 
     /// Forces every star onto one rung (benchmarks and operator runbooks;

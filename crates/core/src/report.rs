@@ -192,15 +192,13 @@ pub fn render_fleet_health(health: &FleetHealth) -> String {
         ));
     }
     out.push_str(&format!(
-        "fleet: {} routed, {} lost, {} failures, {} restarts, {} down, {} plans, {} moved, {} rolled back, breaker {} open / {} closed / {} probes\n",
+        "fleet: {} routed, {} lost, {} failures, {} restarts, {} down, \
+         breaker {} open / {} closed / {} probes\n",
         health.frames_routed,
         health.frames_lost,
         health.shard_failures,
         health.shard_restarts,
         health.shards_down,
-        health.rebalance_plans,
-        health.stars_moved,
-        health.migrations_rolled_back,
         health.supervisor.circuits_opened,
         health.supervisor.circuits_closed,
         health.supervisor.probes,
@@ -297,9 +295,6 @@ mod tests {
             shard_failures: 3,
             shards_down: 1,
             frames_lost: 4,
-            rebalance_plans: 1,
-            stars_moved: 6,
-            migrations_rolled_back: 1,
             supervisor: SupervisorStats::default(),
             aggregate: HealthReport::default(),
         };
@@ -308,8 +303,7 @@ mod tests {
         assert!(text.contains("quarantined"));
         assert!(text.contains("wal corrupt"));
         assert!(text.contains("40 routed"));
-        assert!(text.contains("6 moved"));
-        assert!(text.contains("1 rolled back"));
+        assert!(text.contains("3 failures, 2 restarts, 1 down"));
         assert_eq!(text.lines().count(), 4, "header + 2 shards + summary");
     }
 

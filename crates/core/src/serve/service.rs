@@ -330,24 +330,27 @@ mod tests {
     use aero_datagen::SyntheticConfig;
     use aero_evt::PotConfig;
 
-    /// Trains the tiny model once per test binary; each test loads a copy.
-    fn checkpoint() -> &'static std::path::Path {
-        static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
-        PATH.get_or_init(|| {
-            let path = std::env::temp_dir()
-                .join(format!("aero_serve_model_{}.json", std::process::id()));
+    /// Trains the tiny model once per test binary; each test reassembles a
+    /// bitwise copy from its backbone and star deltas.
+    fn fresh_model() -> Aero {
+        type Parts = (crate::model::BackboneSnapshot, Vec<crate::model::StarDelta>);
+        static PARTS: std::sync::OnceLock<Parts> = std::sync::OnceLock::new();
+        let (backbone, deltas) = PARTS.get_or_init(|| {
             let dataset = SyntheticConfig::tiny(11).build();
             let mut cfg = AeroConfig::tiny();
             cfg.max_epochs = 2;
             let mut model = Aero::new(cfg).unwrap();
             model.fit(&dataset.train).unwrap();
-            crate::persist::save_model(&model, &path).unwrap();
-            path
-        })
+            let deltas = (0..dataset.num_variates())
+                .map(|v| model.star_delta(v).unwrap())
+                .collect();
+            (model.backbone().unwrap(), deltas)
+        });
+        Aero::from_backbone(backbone, deltas).unwrap()
     }
 
     fn fresh_online() -> OnlineAero {
-        let model = crate::persist::load_model(checkpoint()).unwrap();
+        let model = fresh_model();
         let dataset = SyntheticConfig::tiny(11).build();
         OnlineAero::with_policy(
             model,

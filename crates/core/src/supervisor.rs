@@ -224,9 +224,9 @@ struct UnitBreaker {
     short_circuited: AtomicU32,
 }
 
-/// A plain-data snapshot of one unit's circuit breaker, used by the fleet
-/// migration path to transplant a star's breaker history onto the
-/// destination shard's supervisor (see `crate::migrate`).
+/// A plain-data snapshot of one unit's circuit breaker, carried by shard
+/// snapshots so an installed shard's supervisor continues each star's
+/// breaker history (see `crate::snapshot`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BreakerState {
     /// Consecutive exhausted failures so far.
@@ -337,7 +337,7 @@ impl Supervisor {
     }
 
     /// Overwrites the cumulative counters with an exported snapshot
-    /// (fleet-migration state transplant; see `crate::migrate`).
+    /// (shard snapshot install; see `crate::snapshot`).
     pub fn install_stats(&self, stats: SupervisorStats) {
         self.panics.store(stats.panics, Ordering::Relaxed);
         self.deadline_misses.store(stats.deadline_misses, Ordering::Relaxed);

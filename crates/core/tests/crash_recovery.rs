@@ -27,8 +27,8 @@ use std::time::Duration;
 use aero_core::online::{FrameVerdict, HealthReport, OnlineAero, StarStatus};
 use aero_core::wal::{FsyncPolicy, WalConfig, WalWriter};
 use aero_core::{
-    load_model, save_model, Aero, AeroConfig, ChaosHook, DegradePolicy, ScoreMode,
-    SupervisorPolicy,
+    load_model, save_model, Aero, AeroConfig, BackboneSnapshot, ChaosHook, DegradePolicy,
+    ScoreMode, StarDelta, SupervisorPolicy,
 };
 use aero_datagen::{FaultInjector, FaultPlan, SyntheticConfig};
 use aero_evt::PotConfig;
@@ -41,12 +41,13 @@ fn night() -> Dataset {
     cfg.build()
 }
 
-/// Trains the tiny model once per test binary and checkpoints it; every run
-/// (baseline and resumed alike) loads its own copy, which is exactly the
-/// crash-recovery load path.
-fn checkpoint_path() -> &'static std::path::Path {
-    static PATH: OnceLock<std::path::PathBuf> = OnceLock::new();
-    PATH.get_or_init(|| {
+/// Trains the tiny model once per test binary, round-trips it through a
+/// checkpoint (deleted straight after reloading) and keeps the reloaded
+/// backbone and star deltas; every run reassembles its own bitwise copy
+/// from them, the same path `load_model` takes.
+fn shared_model() -> Aero {
+    static PARTS: OnceLock<(BackboneSnapshot, Vec<StarDelta>)> = OnceLock::new();
+    let (backbone, deltas) = PARTS.get_or_init(|| {
         let path = std::env::temp_dir()
             .join(format!("aero_crash_recovery_model_{}.json", std::process::id()));
         let ds = night();
@@ -55,9 +56,26 @@ fn checkpoint_path() -> &'static std::path::Path {
         let mut model = Aero::new(cfg).expect("valid tiny config");
         use aero_core::Detector;
         model.fit(&ds.train).expect("training the tiny model");
-        save_model(&model, &path).expect("checkpointing the tiny model");
-        path
-    })
+        round_trip(&model, &path, ds.num_variates())
+    });
+    Aero::from_backbone(backbone, deltas).expect("reassembling the tiny model")
+}
+
+/// Saves `model` to `path`, reloads it, deletes the file, and returns the
+/// reloaded backbone and per-star deltas.
+fn round_trip(
+    model: &Aero,
+    path: &std::path::Path,
+    stars: usize,
+) -> (BackboneSnapshot, Vec<StarDelta>) {
+    save_model(model, path).expect("checkpointing the tiny model");
+    let loaded = load_model(path);
+    std::fs::remove_file(path).expect("removing the checkpoint");
+    let loaded = loaded.expect("reloading the tiny model");
+    let deltas = (0..stars)
+        .map(|v| loaded.star_delta(v).expect("star delta"))
+        .collect();
+    (loaded.backbone().expect("backbone"), deltas)
 }
 
 /// Policy shared by baseline and resumed runs: refits enabled so the test
@@ -73,7 +91,7 @@ fn chaos_policy() -> DegradePolicy {
 }
 
 fn fresh_online() -> OnlineAero {
-    let model = load_model(checkpoint_path()).expect("loading the shared checkpoint");
+    let model = shared_model();
     OnlineAero::with_policy(model, &night().train, PotConfig::default(), chaos_policy())
         .expect("calibration")
 }
@@ -323,7 +341,7 @@ fn panicking_star_is_quarantined_while_others_keep_streaming() {
 fn deadline_blown_star_is_quarantined_without_stalling_the_stream() {
     let ds = night();
     let n = ds.num_variates();
-    let model = load_model(checkpoint_path()).expect("loading the shared checkpoint");
+    let model = shared_model();
     let policy = DegradePolicy {
         supervision: SupervisorPolicy {
             deadline: Some(Duration::from_millis(2)),
@@ -390,8 +408,8 @@ fn clean_supervised_runs_are_bitwise_reproducible_across_thread_counts() {
 }
 
 /// Trains a tiny model with rank-2 adapter heads (identity until adapted)
-/// and checkpoints it.
-fn adapter_checkpoint() -> std::path::PathBuf {
+/// and round-trips it through a checkpoint.
+fn adapter_model_parts() -> (BackboneSnapshot, Vec<StarDelta>) {
     let path = std::env::temp_dir()
         .join(format!("aero_crash_recovery_adapter_model_{}.json", std::process::id()));
     let ds = night();
@@ -399,8 +417,7 @@ fn adapter_checkpoint() -> std::path::PathBuf {
     let mut model = Aero::new(cfg).expect("valid tiny adapter config");
     use aero_core::Detector;
     model.fit(&ds.train).expect("training the tiny adapter model");
-    save_model(&model, &path).expect("checkpointing the tiny adapter model");
-    path
+    round_trip(&model, &path, ds.num_variates())
 }
 
 /// Production-path isolation: with a hook that panics for star k, every
@@ -415,9 +432,10 @@ fn panicking_star_scores_its_neighbours_as_if_it_were_shed() {
     let ds = night();
     let n = ds.num_variates();
     let k = 2;
-    let path = adapter_checkpoint();
+    let (backbone, deltas) = adapter_model_parts();
     let online = || {
-        let model = load_model(&path).expect("loading the adapter checkpoint");
+        let model =
+            Aero::from_backbone(&backbone, &deltas).expect("reassembling the adapter model");
         OnlineAero::with_policy(model, &ds.train, PotConfig::default(), chaos_policy())
             .expect("calibration")
     };
@@ -452,7 +470,6 @@ fn panicking_star_scores_its_neighbours_as_if_it_were_shed() {
         }
         assert!(chaos.supervisor().is_open(k), "adapted={adapted}: breaker never tripped");
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// A star that fails in one frame and scores in the next is back to a clean

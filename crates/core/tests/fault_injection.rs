@@ -7,7 +7,7 @@
 use std::sync::OnceLock;
 
 use aero_core::online::{FrameDisposition, OnlineAero, StarStatus};
-use aero_core::{load_model, save_model, Aero, AeroConfig};
+use aero_core::{load_model, save_model, Aero, AeroConfig, BackboneSnapshot, StarDelta};
 use aero_datagen::{FaultInjector, FaultPlan, SyntheticConfig};
 use aero_eval::evaluate_point_adjusted;
 use aero_evt::PotConfig;
@@ -20,11 +20,13 @@ fn night() -> Dataset {
     cfg.build()
 }
 
-/// Trains the model once for the whole test binary and checkpoints it;
-/// each test loads its own copy (which also exercises persistence).
-fn checkpoint_path() -> &'static std::path::Path {
-    static PATH: OnceLock<std::path::PathBuf> = OnceLock::new();
-    PATH.get_or_init(|| {
+/// Trains the tiny model once per test binary, round-trips it through a
+/// checkpoint (deleted straight after reloading) and keeps the reloaded
+/// backbone and star deltas; every run reassembles its own bitwise copy
+/// from them, the same path `load_model` takes.
+fn shared_model() -> Aero {
+    static PARTS: OnceLock<(BackboneSnapshot, Vec<StarDelta>)> = OnceLock::new();
+    let (backbone, deltas) = PARTS.get_or_init(|| {
         let path = std::env::temp_dir()
             .join(format!("aero_fault_injection_model_{}.json", std::process::id()));
         let ds = night();
@@ -33,13 +35,30 @@ fn checkpoint_path() -> &'static std::path::Path {
         let mut model = Aero::new(cfg).expect("valid tiny config");
         use aero_core::Detector;
         model.fit(&ds.train).expect("training the tiny model");
-        save_model(&model, &path).expect("checkpointing the tiny model");
-        path
-    })
+        round_trip(&model, &path, ds.num_variates())
+    });
+    Aero::from_backbone(backbone, deltas).expect("reassembling the tiny model")
+}
+
+/// Saves `model` to `path`, reloads it, deletes the file, and returns the
+/// reloaded backbone and per-star deltas.
+fn round_trip(
+    model: &Aero,
+    path: &std::path::Path,
+    stars: usize,
+) -> (BackboneSnapshot, Vec<StarDelta>) {
+    save_model(model, path).expect("checkpointing the tiny model");
+    let loaded = load_model(path);
+    std::fs::remove_file(path).expect("removing the checkpoint");
+    let loaded = loaded.expect("reloading the tiny model");
+    let deltas = (0..stars)
+        .map(|v| loaded.star_delta(v).expect("star delta"))
+        .collect();
+    (loaded.backbone().expect("backbone"), deltas)
 }
 
 fn fresh_online() -> OnlineAero {
-    let model = load_model(checkpoint_path()).expect("loading the shared checkpoint");
+    let model = shared_model();
     OnlineAero::new(model, &night().train, PotConfig::default()).expect("calibration")
 }
 

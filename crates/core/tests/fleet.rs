@@ -8,8 +8,7 @@
 //!   whole fleet output equals an uninterrupted run);
 //! * **fresh-process resume** — a fleet rebuilt by
 //!   [`FleetCoordinator::resume`] replays every shard's WAL and continues
-//!   the night; replay + continuation equals the uninterrupted run, and the
-//!   recorded rebalance plans are recovered rather than recomputed;
+//!   the night; replay + continuation equals the uninterrupted run;
 //! * **identity enforcement** — resuming with a different star→shard
 //!   assignment, or pointing a shard at another shard's WAL directory,
 //!   fails with a typed [`DetectorError::WalMismatch`] instead of silently
@@ -18,9 +17,13 @@
 //!   shard-level breaker and is quarantined (its frame slices dropped and
 //!   counted) while the rest of the fleet streams; the half-open probe
 //!   schedule brings it back once the fault clears;
-//! * **plan determinism** — star→shard partitioning and epoch rebalancing
-//!   are pure functions of `(catalog, seed, costs)`: identical across
-//!   thread counts (proptest) and across kill/resume (chaos runs).
+//! * **partition determinism** — star→shard partitioning is a pure
+//!   function of `(catalog, seed, shards)`: identical across thread counts
+//!   (proptest).
+//!
+//! Every test removes what it writes: shard models are checkpointed once
+//! per member set and reassembled in memory, and WAL roots are deleted when
+//! the test ends, pass or fail.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -35,8 +38,8 @@ use aero_core::online::OnlineAero;
 use aero_core::overload::GovernedVerdict;
 use aero_core::wal::{FsyncPolicy, WalConfig};
 use aero_core::{
-    load_model, save_model, Aero, AeroConfig, DegradePolicy, DetectorError, DetectorResult,
-    SupervisorPolicy,
+    load_model, save_model, Aero, AeroConfig, BackboneSnapshot, DegradePolicy, DetectorError,
+    DetectorResult, StarDelta, SupervisorPolicy,
 };
 use aero_datagen::SyntheticConfig;
 use aero_evt::PotConfig;
@@ -50,44 +53,53 @@ fn night() -> Dataset {
     SyntheticConfig::tiny(20240807).build()
 }
 
-/// Trains each distinct shard's model once per test binary and checkpoints
-/// it; every (re)build of that shard loads the same file, so a restarted
-/// shard reproduces its pre-crash model bit-for-bit — the same discipline a
-/// real deployment gets from a model registry.
-fn shard_checkpoint(members: &[usize]) -> PathBuf {
-    static CACHE: OnceLock<Mutex<HashMap<Vec<usize>, PathBuf>>> = OnceLock::new();
+/// Trains each distinct shard's model once per test binary, round-trips it
+/// through a checkpoint (deleted straight after), and keeps the reloaded
+/// backbone and star deltas; every (re)build of that shard reassembles the
+/// same bits, so a restarted shard reproduces its pre-crash model exactly —
+/// the same discipline a real deployment gets from a model registry.
+fn shard_model(members: &[usize]) -> DetectorResult<Aero> {
+    type Parts = (BackboneSnapshot, Vec<StarDelta>);
+    static CACHE: OnceLock<Mutex<HashMap<Vec<usize>, Arc<Parts>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut cache = cache.lock().expect("checkpoint cache lock");
-    if let Some(path) = cache.get(members) {
-        return path.clone();
-    }
-    let key: Vec<String> = members.iter().map(|m| m.to_string()).collect();
-    let path = std::env::temp_dir().join(format!(
-        "aero_fleet_model_{}_{}.json",
-        std::process::id(),
-        key.join("-")
-    ));
-    let slice = night()
-        .select_variates(members)
-        .expect("valid member indices")
-        .truncate_train(200)
-        .expect("truncate");
-    let mut cfg = AeroConfig::tiny();
-    cfg.max_epochs = 1;
-    let mut model = Aero::new(cfg).expect("valid tiny config");
-    use aero_core::Detector;
-    model.fit(&slice.train).expect("training the shard model");
-    save_model(&model, &path).expect("checkpointing the shard model");
-    cache.insert(members.to_vec(), path.clone());
-    path
+    let parts = {
+        let mut cache = cache.lock().expect("model cache lock");
+        let parts = cache.entry(members.to_vec()).or_insert_with(|| {
+            let key: Vec<String> = members.iter().map(|m| m.to_string()).collect();
+            let path = std::env::temp_dir().join(format!(
+                "aero_fleet_model_{}_{}.json",
+                std::process::id(),
+                key.join("-")
+            ));
+            let slice = night()
+                .select_variates(members)
+                .expect("valid member indices")
+                .truncate_train(200)
+                .expect("truncate");
+            let mut cfg = AeroConfig::tiny();
+            cfg.max_epochs = 1;
+            let mut model = Aero::new(cfg).expect("valid tiny config");
+            use aero_core::Detector;
+            model.fit(&slice.train).expect("training the shard model");
+            save_model(&model, &path).expect("checkpointing the shard model");
+            let loaded = load_model(&path);
+            std::fs::remove_file(&path).expect("removing the shard checkpoint");
+            let loaded = loaded.expect("reloading the shard model");
+            let deltas = (0..members.len())
+                .map(|v| loaded.star_delta(v).expect("star delta"))
+                .collect();
+            Arc::new((loaded.backbone().expect("backbone"), deltas))
+        });
+        Arc::clone(parts)
+    };
+    Aero::from_backbone(&parts.0, &parts.1)
 }
 
-/// The deterministic shard factory: checkpoint + calibration slice are pure
+/// The deterministic shard factory: model + calibration slice are pure
 /// functions of the member set.
 fn factory() -> ShardFactory {
     Arc::new(|members: &[usize]| -> DetectorResult<OnlineAero> {
-        let path = shard_checkpoint(members);
-        let model = load_model(&path)?;
+        let model = shard_model(members)?;
         let slice = night()
             .select_variates(members)
             .map_err(|e| DetectorError::Invalid(e.to_string()))?
@@ -102,16 +114,30 @@ fn factory() -> ShardFactory {
     })
 }
 
-fn tmp_root(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("aero_fleet_{}_{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+/// A per-test WAL root under the temp dir, deleted when dropped.
+struct TmpRoot(PathBuf);
+
+impl TmpRoot {
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("aero_fleet_{}_{name}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        Self(dir)
+    }
+
+    fn path(&self) -> PathBuf {
+        self.0.clone()
+    }
+}
+
+impl Drop for TmpRoot {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 fn fleet_config(wal_root: Option<PathBuf>) -> FleetConfig {
     FleetConfig {
         seed: FLEET_SEED,
-        epoch_frames: 16,
         wal_root,
         wal: WalConfig { frames_per_segment: 8, fsync: FsyncPolicy::Never, identity: Default::default() },
         ..FleetConfig::default()
@@ -179,16 +205,15 @@ fn drain_into(fleet: &mut FleetCoordinator, sink: &mut [Vec<Vec<u8>>]) {
 }
 
 /// Streams `stream` through an uninterrupted fleet, returning per-shard
-/// fingerprints and the recorded plan fingerprints.
-fn uninterrupted_run(stream: &[(f64, Vec<f32>)], root: PathBuf) -> (Vec<Vec<Vec<u8>>>, Vec<u64>) {
+/// fingerprints.
+fn uninterrupted_run(stream: &[(f64, Vec<f32>)], root: PathBuf) -> Vec<Vec<Vec<u8>>> {
     let mut fleet = build_fleet(root);
     let mut sink = vec![Vec::new(); NUM_SHARDS];
     for frame in stream {
         tick(&mut fleet, frame, &mut sink);
     }
     drain_into(&mut fleet, &mut sink);
-    let plans = fleet.plans().iter().map(|p| p.fingerprint).collect();
-    (sink, plans)
+    sink
 }
 
 #[test]
@@ -197,9 +222,11 @@ fn killed_shard_resumes_bitwise_while_survivors_stream_untouched() {
     let kill_at = 20;
     let kill_shard = 1;
 
-    let (base, base_plans) = uninterrupted_run(&stream, tmp_root("isolate_base"));
+    let base_root = TmpRoot::new("isolate_base");
+    let base = uninterrupted_run(&stream, base_root.path());
 
-    let mut fleet = build_fleet(tmp_root("isolate_chaos"));
+    let chaos_root = TmpRoot::new("isolate_chaos");
+    let mut fleet = build_fleet(chaos_root.path());
     let mut sink = vec![Vec::new(); NUM_SHARDS];
     for (t, frame) in stream.iter().enumerate() {
         if t == kill_at {
@@ -225,10 +252,6 @@ fn killed_shard_resumes_bitwise_while_survivors_stream_untouched() {
     assert_eq!(health.frames_lost, 0, "restart-on-next-offer must lose nothing");
     assert_eq!(health.shards_down, 0);
     assert!(health.shards[kill_shard].last_error.is_none(), "error cleared on recovery");
-    // The rebalance plans are untouched by the kill.
-    let chaos_plans: Vec<u64> = fleet.plans().iter().map(|p| p.fingerprint).collect();
-    assert_eq!(base_plans, chaos_plans);
-    assert!(!base_plans.is_empty(), "48 frames at epoch_frames=16 must produce plans");
 }
 
 #[test]
@@ -236,20 +259,21 @@ fn fleet_resumes_from_per_shard_wals_bitwise() {
     let stream = frames(48);
     let kill_at = 20;
 
-    let (base, base_plans) = uninterrupted_run(&stream, tmp_root("resume_base"));
+    let base_root = TmpRoot::new("resume_base");
+    let base = uninterrupted_run(&stream, base_root.path());
 
     // Doomed process: 20 full ticks, then dropped without any shutdown.
-    let root = tmp_root("resume_chaos");
+    let chaos_root = TmpRoot::new("resume_chaos");
+    let root = chaos_root.path();
     {
         let mut fleet = build_fleet(root.clone());
         let mut pre = vec![Vec::new(); NUM_SHARDS];
         for frame in &stream[..kill_at] {
             tick(&mut fleet, frame, &mut pre);
         }
-        assert!(!fleet.plans().is_empty(), "plan 1 lands before the kill");
     }
 
-    // Fresh process: resume from the per-shard WALs + plan log.
+    // Fresh process: resume from the per-shard WALs.
     let catalog = StarCatalog::sequential(night().num_variates());
     let assignment =
         ShardAssignment::partition(&catalog, NUM_SHARDS, FLEET_SEED).expect("partition");
@@ -262,7 +286,6 @@ fn fleet_resumes_from_per_shard_wals_bitwise() {
     )
     .expect("fleet resume");
     assert_eq!(resume.frames_routed, kill_at);
-    assert_eq!(resume.plans_recovered, 1, "plan 1 recovered, not recomputed");
 
     // Replayed verdicts were already emitted by the doomed process; the
     // boundary tick's trailing poll (unrecorded by design — WAL metadata
@@ -285,14 +308,13 @@ fn fleet_resumes_from_per_shard_wals_bitwise() {
             assert_eq!(b, r, "shard {k} verdict {i} diverged across resume");
         }
     }
-    let resumed_plans: Vec<u64> = fleet.plans().iter().map(|p| p.fingerprint).collect();
-    assert_eq!(base_plans, resumed_plans, "plan stream diverged across resume");
 }
 
 #[test]
 fn resume_rejects_foreign_wal_directories() {
     let stream = frames(12);
-    let root = tmp_root("identity");
+    let tmp = TmpRoot::new("identity");
+    let root = tmp.path();
     {
         let mut fleet = build_fleet(root.clone());
         let mut sink = vec![Vec::new(); NUM_SHARDS];
@@ -304,13 +326,12 @@ fn resume_rejects_foreign_wal_directories() {
     let good =
         ShardAssignment::partition(&catalog, NUM_SHARDS, FLEET_SEED).expect("partition");
 
-    // A different star→shard assignment (two stars swapped) must be refused:
-    // the WAL identities bind the exact membership.
-    let mut swapped = good.shard_map().to_vec();
-    let a = swapped.iter().position(|&s| s == 0).expect("a star on shard 0");
-    let b = swapped.iter().position(|&s| s == 1).expect("a star on shard 1");
-    swapped.swap(a, b);
-    let bad = ShardAssignment::from_plan(&catalog, NUM_SHARDS, swapped, 1).expect("plan");
+    // A different star→shard assignment (another routing seed's partition)
+    // must be refused: the WAL identities bind the exact membership.
+    let bad = (FLEET_SEED + 1..)
+        .map(|seed| ShardAssignment::partition(&catalog, NUM_SHARDS, seed).expect("partition"))
+        .find(|bad| bad.members(0) != good.members(0))
+        .expect("some seed partitions differently");
     let err = FleetCoordinator::resume(
         catalog.clone(),
         bad,
@@ -330,14 +351,25 @@ fn resume_rejects_foreign_wal_directories() {
     std::fs::rename(&dir1, &dir0).expect("swap step 2");
     std::fs::rename(&scratch, &dir1).expect("swap step 3");
     let err = FleetCoordinator::resume(
-        catalog,
-        good,
+        catalog.clone(),
+        good.clone(),
         factory(),
         None,
-        fleet_config(Some(root)),
+        fleet_config(Some(root.clone())),
     )
     .expect_err("swapped WAL directories must be rejected");
     assert!(matches!(err, DetectorError::WalMismatch(_)), "got {err}");
+
+    // A night whose stars were moved by live migration (an epoch
+    // directory, as earlier releases wrote) is refused, not half-replayed.
+    std::fs::rename(&dir0, &scratch).expect("unswap step 1");
+    std::fs::rename(&dir1, &dir0).expect("unswap step 2");
+    std::fs::rename(&scratch, &dir1).expect("unswap step 3");
+    std::fs::create_dir(root.join("shard-0001-e0001")).expect("epoch directory");
+    let err = FleetCoordinator::resume(catalog, good, factory(), None, fleet_config(Some(root)))
+        .expect_err("a migrated night must be rejected");
+    assert!(matches!(err, DetectorError::WalMismatch(_)), "got {err}");
+    assert!(err.to_string().contains("shard-0001-e0001"), "got {err}");
 }
 
 #[test]
@@ -360,7 +392,8 @@ fn quarantined_shard_recovers_via_probe_while_fleet_streams() {
         inner(members)
     });
 
-    let mut config = fleet_config(Some(tmp_root("quarantine")));
+    let tmp = TmpRoot::new("quarantine");
+    let mut config = fleet_config(Some(tmp.path()));
     config.shard_supervision = SupervisorPolicy {
         max_retries: 0,
         backoff_base: Duration::ZERO,
@@ -419,57 +452,39 @@ fn quarantined_shard_recovers_via_probe_while_fleet_streams() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Partitioning and rebalancing are pure functions of
-    /// `(catalog, seed, costs)`: bitwise-identical plans at any thread
-    /// count, every star owned exactly once, members ascending, and no
-    /// shard left empty.
-    fn routing_and_rebalancing_are_deterministic(
+    /// Partitioning is a pure function of `(catalog, seed, shards)`:
+    /// bitwise-identical assignments at any thread count, every star owned
+    /// exactly once, members ascending, no shard left empty, and sizes
+    /// balanced to within one.
+    fn routing_is_deterministic(
         stars in 2usize..24,
         seed in 0u64..1_000_000,
         threads_a in 1usize..5,
         threads_b in 1usize..5,
-        cost_seed in 0u64..1_000_000,
     ) {
         let shards = 1 + (seed as usize) % stars;
         let catalog = StarCatalog::sequential(stars);
-        // Deterministic pseudo-costs (splitmix-style) so the LPT input
-        // varies without pulling in an RNG.
-        let costs: Vec<u64> = (0..stars as u64)
-            .map(|i| {
-                let mut x = cost_seed ^ (i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                x ^= x >> 30;
-                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                (x >> 40) % 100
-            })
-            .collect();
 
         aero_parallel::set_max_threads(threads_a);
         let part_a = ShardAssignment::partition(&catalog, shards, seed).unwrap();
-        let plan_a = ShardAssignment::rebalance(&catalog, shards, seed, &costs, 1).unwrap();
         aero_parallel::set_max_threads(threads_b);
         let part_b = ShardAssignment::partition(&catalog, shards, seed).unwrap();
-        let plan_b = ShardAssignment::rebalance(&catalog, shards, seed, &costs, 1).unwrap();
         aero_parallel::set_max_threads(1);
 
         prop_assert_eq!(&part_a, &part_b);
         prop_assert_eq!(part_a.fingerprint(), part_b.fingerprint());
-        prop_assert_eq!(&plan_a, &plan_b);
-        prop_assert_eq!(plan_a.fingerprint(), plan_b.fingerprint());
 
-        for assignment in [&part_a, &plan_a] {
-            let mut owned = vec![0usize; stars];
-            for k in 0..shards {
-                let members = assignment.members(k);
-                prop_assert!(!members.is_empty(), "shard {} empty", k);
-                prop_assert!(members.windows(2).all(|w| w[0] < w[1]), "members unsorted");
-                for &star in members {
-                    owned[star] += 1;
-                    prop_assert_eq!(assignment.shard_of(star), k);
-                }
+        let mut owned = vec![0usize; stars];
+        for k in 0..shards {
+            let members = part_a.members(k);
+            prop_assert!(!members.is_empty(), "shard {} empty", k);
+            prop_assert!(members.windows(2).all(|w| w[0] < w[1]), "members unsorted");
+            for &star in members {
+                owned[star] += 1;
+                prop_assert_eq!(part_a.shard_of(star), k);
             }
-            prop_assert!(owned.iter().all(|&c| c == 1), "every star owned exactly once");
         }
-        // The initial partition additionally balances sizes to within one.
+        prop_assert!(owned.iter().all(|&c| c == 1), "every star owned exactly once");
         let sizes: Vec<usize> = (0..shards).map(|k| part_a.members(k).len()).collect();
         let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
         prop_assert!(max - min <= 1, "unbalanced partition: {:?}", sizes);

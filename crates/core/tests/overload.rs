@@ -16,8 +16,9 @@ use std::sync::OnceLock;
 use aero_core::online::{DegradePolicy, OnlineAero};
 use aero_core::wal::{WalConfig, WalWriter};
 use aero_core::{
-    load_model, save_model, Aero, AeroConfig, ChaosHook, Detector, FallbackScorer,
-    GovernedVerdict, OverloadPolicy, PriorityClass, StreamGovernor, SupervisorPolicy,
+    load_model, save_model, Aero, AeroConfig, BackboneSnapshot, ChaosHook, Detector,
+    FallbackScorer, GovernedVerdict, OverloadPolicy, PriorityClass, StarDelta, StreamGovernor,
+    SupervisorPolicy,
 };
 use aero_datagen::{LoadProfile, SyntheticConfig};
 use aero_evt::PotConfig;
@@ -29,11 +30,13 @@ fn night() -> aero_timeseries::Dataset {
     cfg.build()
 }
 
-/// Trains the model once for the whole test binary and checkpoints it;
-/// each test loads its own copy.
-fn checkpoint_path() -> &'static std::path::Path {
-    static PATH: OnceLock<std::path::PathBuf> = OnceLock::new();
-    PATH.get_or_init(|| {
+/// Trains the tiny model once per test binary, round-trips it through a
+/// checkpoint (deleted straight after reloading) and keeps the reloaded
+/// backbone and star deltas; every run reassembles its own bitwise copy
+/// from them, the same path `load_model` takes.
+fn shared_model() -> Aero {
+    static PARTS: OnceLock<(BackboneSnapshot, Vec<StarDelta>)> = OnceLock::new();
+    let (backbone, deltas) = PARTS.get_or_init(|| {
         let path = std::env::temp_dir()
             .join(format!("aero_overload_model_{}.json", std::process::id()));
         let ds = night();
@@ -41,13 +44,30 @@ fn checkpoint_path() -> &'static std::path::Path {
         cfg.max_epochs = 2;
         let mut model = Aero::new(cfg).expect("valid tiny config");
         model.fit(&ds.train).expect("training the tiny model");
-        save_model(&model, &path).expect("checkpointing the tiny model");
-        path
-    })
+        round_trip(&model, &path, ds.num_variates())
+    });
+    Aero::from_backbone(backbone, deltas).expect("reassembling the tiny model")
+}
+
+/// Saves `model` to `path`, reloads it, deletes the file, and returns the
+/// reloaded backbone and per-star deltas.
+fn round_trip(
+    model: &Aero,
+    path: &std::path::Path,
+    stars: usize,
+) -> (BackboneSnapshot, Vec<StarDelta>) {
+    save_model(model, path).expect("checkpointing the tiny model");
+    let loaded = load_model(path);
+    std::fs::remove_file(path).expect("removing the checkpoint");
+    let loaded = loaded.expect("reloading the tiny model");
+    let deltas = (0..stars)
+        .map(|v| loaded.star_delta(v).expect("star delta"))
+        .collect();
+    (loaded.backbone().expect("backbone"), deltas)
 }
 
 fn fresh_online() -> OnlineAero {
-    let model = load_model(checkpoint_path()).expect("loading the shared checkpoint");
+    let model = shared_model();
     OnlineAero::new(model, &night().train, PotConfig::default()).expect("calibration")
 }
 
@@ -325,7 +345,7 @@ fn stalled_shard_does_not_stall_the_governor() {
     // Star 1's scoring shard sleeps past a tight deadline on every frame.
     // The supervisor must keep abandoning it while the governor keeps the
     // night moving: finite scores, bounded queue, deadline misses counted.
-    let model = load_model(checkpoint_path()).expect("checkpoint");
+    let model = shared_model();
     let policy = DegradePolicy {
         supervision: SupervisorPolicy {
             deadline: Some(std::time::Duration::from_millis(2)),

@@ -25,7 +25,7 @@ pub mod spot;
 
 pub use gpd::{fit as fit_gpd, fit_moments, log_likelihood, FitMethod, GpdFit};
 pub use pot::{
-    apply_threshold, pot_threshold, pot_threshold_lenient, PotConfig, PotError, PotThreshold,
-    MIN_PEAKS,
+    apply_threshold, max_excesses, pot_threshold, pot_threshold_lenient, PotConfig, PotError,
+    PotThreshold, MIN_PEAKS,
 };
 pub use spot::{Dspot, Spot, SpotDecision};

@@ -165,8 +165,7 @@ fn finite_scores(scores: &[f32]) -> Vec<f32> {
 /// in input order, so the zero at the quantile is the `k`-th zero of
 /// `scores`, `k` counting from the number of negative scores below it.
 fn level_quantile(scores: &[f32], finite: &mut [f32], level: f64) -> f64 {
-    let n = finite.len();
-    let idx = ((level * (n - 1) as f64).round() as usize).min(n - 1);
+    let idx = quantile_index(finite.len(), level);
     let (_, &mut u, _) = finite.select_nth_unstable_by(idx, |a, b| {
         a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
     });
@@ -179,6 +178,23 @@ fn level_quantile(scores: &[f32], finite: &mut [f32], level: f64) -> f64 {
         .filter(|&&v| v == 0.0)
         .nth(idx - negatives)
         .map_or(u as f64, |&zero| zero as f64)
+}
+
+/// The rank of the `level`-quantile among `n` finite scores in ascending
+/// order, `round(level · (n − 1))`: where [`pot_threshold`] reads its
+/// initial threshold.
+fn quantile_index(n: usize, level: f64) -> usize {
+    let last = n.saturating_sub(1);
+    ((level * last as f64).round() as usize).min(last)
+}
+
+/// The most excesses `n` finite scores can put strictly above their
+/// `level`-quantile: the scores ranked after index `round(level · (n − 1))`,
+/// the rank [`pot_threshold`] reads its initial threshold from. Below
+/// [`MIN_PEAKS`], [`pot_threshold`] fails on any calibration set of that
+/// size.
+pub fn max_excesses(n: usize, level: f64) -> usize {
+    n.saturating_sub(1) - quantile_index(n, level)
 }
 
 /// [`pot_threshold`] with SPOT's permissive fallbacks instead of errors:
@@ -239,6 +255,21 @@ mod tests {
                 (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
             })
             .collect()
+    }
+
+    #[test]
+    fn max_excesses_predicts_too_few_peaks_on_distinct_scores() {
+        for level in [0.9, 0.95, 0.99] {
+            for n in 1..600 {
+                let scores: Vec<f32> = (0..n).map(|v| v as f32).collect();
+                let fits = !matches!(
+                    pot_threshold(&scores, PotConfig { level, q: 1e-3 }),
+                    Err(PotError::TooFewPeaks { .. })
+                );
+                assert_eq!(fits, max_excesses(n, level) >= MIN_PEAKS, "n {n} level {level}");
+            }
+        }
+        assert_eq!(max_excesses(0, 0.99), 0);
     }
 
     #[test]

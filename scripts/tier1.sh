@@ -47,16 +47,14 @@
 #      thread counts and WAL kill-resume
 #  10. fleet isolation: the shared-nothing shard suite (chaos kill mid-night,
 #      bitwise shard resume, WAL identity rejection, deterministic
-#      routing/rebalancing) plus a 4-shard CLI burst smoke with one injected
-#      shard kill — the killed shard must restart from its own WAL while the
-#      other shards keep streaming
-#  11. live migration: the WAL-fenced two-phase star-handoff chaos suite
-#      (kill -9 at every phase boundary — pre-fence, post-fence, pre-commit,
-#      post-commit — followed by --resume must be bitwise identical to an
-#      uninterrupted night), plus a 4-shard CLI smoke: --migrate-live with a
-#      mid-night simulated crash, then --resume to finish the night, then
-#      `aero wal verify` scrubbing every surviving shard directory
-#  12. batched equivalence: the batched cross-star Stage-1 forward (the only
+#      partition) plus a 4-shard CLI burst smoke with one injected shard
+#      kill — the killed shard must restart from its own WAL while the
+#      other shards keep streaming, and `aero wal verify` must then find
+#      every shard directory clean; plus the shard snapshot gate: a shard
+#      exported mid-night, encoded, decoded and installed into a fresh shard
+#      serves the rest of the night bitwise like the original, and damaged
+#      snapshot bytes decode to typed errors
+#  11. batched equivalence: the batched cross-star Stage-1 forward (the only
 #      Stage-1 scoring path) is bitwise identical to the tape forward, per
 #      block of a perturbed module and per star of a trained detector scored
 #      alone vs in the batch, across star counts, thread counts and kernel
@@ -65,19 +63,19 @@
 #      (long window, its short tail, fractional positions), and a
 #      basis/deltas length mismatch is a typed shape error; plus a 2-shard
 #      governed CLI stream smoke
-#  13. resident service: wire-codec adversarial property suite (garbage,
+#  12. resident service: wire-codec adversarial property suite (garbage,
 #      torn frames, flipped bits, hostile lengths — typed errors, bounded
 #      allocation), then real-process end-to-end runs of `aero serve` +
 #      `aero loadgen` over loopback TCP — kill -9 mid-night + --resume must
 #      be bitwise identical to an uninterrupted run, seeded wire faults
 #      across concurrent tenant connections must never poison the detector,
 #      and the status/drain endpoints must answer on the same wire
-#  14. backbone reassembly: a detector rebuilt from the shared backbone plus
+#  13. backbone reassembly: a detector rebuilt from the shared backbone plus
 #      per-star deltas scores bitwise identical to the monolithic model
-#  15. benchmark harness smoke run (keeps scripts/bench.sh wired)
-#  16. repository benchmark smoke test: every aerobench workload runs end to
+#  14. benchmark harness smoke run (keeps scripts/bench.sh wired)
+#  15. repository benchmark smoke test: every aerobench workload runs end to
 #      end at seconds scale and passes its own consistency checks
-#  17. clippy -D warnings on the full workspace (the streaming modules
+#  16. clippy -D warnings on the full workspace (the streaming modules
 #      additionally deny unwrap/expect via their own inner lint attrs)
 set -eu
 
@@ -116,30 +114,17 @@ cargo test -q -p aero-core --test score_memory
 echo "==> tier-1: overload smoke (burst admission, shedding, ladder)"
 cargo test -q -p aero-core --test overload
 
-echo "==> tier-1: fleet isolation (shard chaos, bitwise resume, routing)"
-cargo test -q -p aero-core --test fleet
+echo "==> tier-1: fleet isolation (shard chaos, bitwise resume, routing, snapshots)"
+cargo test -q -p aero-core --test fleet --test snapshot
 fleet_tmp="$(mktemp -d)"
 trap 'rm -rf "$fleet_tmp"' EXIT
 cargo run --release -q -p aero-cli --bin aero -- generate \
     --preset tiny --seed 41 --out "$fleet_tmp/data" > /dev/null
 cargo run --release -q -p aero-cli --bin aero -- stream \
     --data "$fleet_tmp/data" --shards 4 --burst 41 \
-    --wal "$fleet_tmp/wal" --rebalance-every 64 \
+    --wal "$fleet_tmp/wal" \
     --kill-shard 2 --kill-after 40 --probe-after 4 > /dev/null
-
-echo "==> tier-1: live migration (two-phase handoff chaos + CLI smoke)"
-cargo test -q -p aero-core --test migration
-cargo run --release -q -p aero-cli --bin aero -- stream \
-    --data "$fleet_tmp/data" --shards 4 --burst 23 \
-    --wal "$fleet_tmp/wal_migrate" --rebalance-every 48 \
-    --kill-after 120 --migrate-live > /dev/null
-cargo run --release -q -p aero-cli --bin aero -- stream \
-    --data "$fleet_tmp/data" --shards 4 --burst 23 \
-    --wal "$fleet_tmp/wal_migrate" --rebalance-every 48 \
-    --resume --migrate-live > "$fleet_tmp/migrate_summary.json"
-grep -q '"stars_moved"' "$fleet_tmp/migrate_summary.json"
-grep -q '"migrations_rolled_back"' "$fleet_tmp/migrate_summary.json"
-for shard_dir in "$fleet_tmp"/wal_migrate/shard-*; do
+for shard_dir in "$fleet_tmp"/wal/shard-*; do
     cargo run --release -q -p aero-cli --bin aero -- \
         wal verify "$shard_dir" > /dev/null
 done
